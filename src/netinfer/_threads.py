@@ -2,14 +2,18 @@
 
 The NETINFER_THREADS environment variable caps parallelism package-wide:
 unset or "0" means auto (bounded by the CPU count), "1" forces serial
-execution. Results are always returned in submission order, so output is
-independent of scheduling.
+execution, and larger requests are clamped to MAX_WORKERS. Results are
+always returned in submission order, so output is independent of
+scheduling.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 _AUTO_CAP = 8
+# The count also sizes the cKDTree workers of each pool thread, so a run
+# can hold up to MAX_WORKERS ** 2 threads.
+MAX_WORKERS = 32
 
 
 def worker_count() -> int:
@@ -22,7 +26,7 @@ def worker_count() -> int:
         requested = 0
     if requested == 0:
         return max(1, min(os.cpu_count() or 1, _AUTO_CAP))
-    return requested
+    return min(requested, MAX_WORKERS)
 
 
 def parallel_map(fn, items):

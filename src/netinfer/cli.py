@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 from . import __version__
 from .errors import NetinferError, NumericError, ValidationError
 from .estimators import EstimatorKind
-from .graph import Dag, compare_graphs, dag_from_dot, write_dot
+from .graph import (MAX_EXHAUSTIVE_VERTICES, Dag, compare_graphs,
+                    dag_from_dot, write_dot)
 from .scores import SCORE_KINDS, Scorer
 from .search import SearchConfig, exhaustive_search, greedy_hill_climb
 from .significance import SurrogateConfig
@@ -150,11 +151,6 @@ def _build_scorer(args, ts) -> Scorer:
         kappa=tuple(_parse_int_list(args.kappa, m, "--kappa")),
     )
     needs_discrete = args.estimator == "discrete" or args.score in ("aic", "bic", "ml")
-    if args.score == "tea" and args.estimator == "box-kernel":
-        raise ValidationError(
-            "--score tea cannot use --estimator box-kernel: the test "
-            "statistic has no analytic null there (use --score tee)"
-        )
     if args.score in ("aic", "bic", "ml") and args.estimator != "discrete":
         raise ValidationError(
             f"--score {args.score} requires --estimator discrete"
@@ -195,18 +191,30 @@ def _print_report(report):
 # ---------------------------------------------------------------------------
 # simulate
 
+def _config_field(doc: dict, key: str, cast, default=None):
+    try:
+        return cast(doc.get(key, default))
+    except (TypeError, ValueError):
+        raise ValidationError(f"config field {key!r} must be {cast.__name__}, "
+                              f"got {doc.get(key, default)!r}") from None
+
+
 def _config_from_json(doc: dict) -> GdsConfig:
     for key in ("names", "edges", "model", "n"):
         if key not in doc:
             raise ValidationError(f"config is missing required field {key!r}")
-    names = list(doc["names"])
+    names = _config_field(doc, "names", list)
     index = {name: i for i, name in enumerate(names)}
     try:
         edges = [(index[a], index[b]) for a, b in doc["edges"]]
     except KeyError as exc:
         raise ValidationError(f"edge endpoint {exc.args[0]!r} is not in names") from None
+    except (TypeError, ValueError):
+        raise ValidationError(
+            "config field 'edges' must be a list of [source, target] name pairs"
+        ) from None
     graph = Dag.from_edges(len(names), edges)
-    mdoc = dict(doc["model"])
+    mdoc = _config_field(doc, "model", dict)
     mtype = mdoc.pop("type", None)
     try:
         if mtype == "coupled-logistic":
@@ -224,13 +232,13 @@ def _config_from_json(doc: dict) -> GdsConfig:
     return GdsConfig(
         graph=graph,
         model=model,
-        process_noise_std=float(doc.get("process_noise_std", 0.0)),
-        obs_noise_std=float(doc.get("obs_noise_std", 0.0)),
-        n=int(doc["n"]),
-        burn_in=int(doc.get("burn_in", 1000)),
-        seed=int(doc.get("seed", 0)),
+        process_noise_std=_config_field(doc, "process_noise_std", float, 0.0),
+        obs_noise_std=_config_field(doc, "obs_noise_std", float, 0.0),
+        n=_config_field(doc, "n", int),
+        burn_in=_config_field(doc, "burn_in", int, 1000),
+        seed=_config_field(doc, "seed", int, 0),
         names=tuple(names),
-        initial_states=(tuple(doc["initial_states"])
+        initial_states=(_config_field(doc, "initial_states", tuple)
                         if doc.get("initial_states") is not None else None),
     )
 
@@ -323,9 +331,10 @@ def cmd_infer(args, argv) -> int:
     manifest.add_seed("score", args.seed)
     manifest.add_seed("search", args.seed)
     ts = load_csv(args.data)
-    if args.search == "exhaustive" and ts.m > 6:
+    if args.search == "exhaustive" and ts.m > MAX_EXHAUSTIVE_VERTICES:
         raise ValidationError(
-            f"exhaustive search supports at most 6 subsystems, got {ts.m}; "
+            f"exhaustive search supports at most {MAX_EXHAUSTIVE_VERTICES} "
+            f"subsystems, got {ts.m}; "
             "use --search greedy"
         )
     if args.score in ("te", "ml") and args.max_parents is None:

@@ -24,14 +24,7 @@ from scipy.special import gammainc, gammaincinv
 
 from ._threads import parallel_map
 from .errors import NumericError, ValidationError
-from .estimators import (
-    EstimatorKind,
-    _cond_entropy_mats,
-    _check_kind,
-    _resolve,
-    history,
-    next_value,
-)
+from .estimators import EstimatorKind, resampled_source_entropy
 from .timeseries import EmbeddedView, EmbeddingSpec
 
 _DF_LIMIT = 2 ** 63 - 1
@@ -165,19 +158,11 @@ def surrogate_te_samples(dest: int, sources, view: EmbeddedView,
         raise ValidationError("surrogate test needs a non-empty source set")
     if dest in sources:
         raise ValidationError("destination cannot be one of its sources")
-    _check_kind(view, kind)
-    want_rad = kind.method == "discrete-plugin"
-    z, z_rad = _resolve(view, [next_value(dest)], want_rad)
-    wd, wd_rad = _resolve(view, [history(dest)], want_rad)
-    ws, ws_rad = _resolve(view, [history(s) for s in sources], want_rad)
-    h_self = _cond_entropy_mats(kind, z, z_rad, wd, wd_rad)
+    h_self, h_full = resampled_source_entropy(dest, sources, view, kind)
 
     def one(i: int) -> float:
         rng = np.random.default_rng(derive_seed(cfg.seed, i))
-        idx = surrogate_indices(view.rows, cfg.method, rng)
-        w = np.hstack([wd, ws[idx]])
-        h_full = _cond_entropy_mats(kind, z, z_rad, w, list(wd_rad) + list(ws_rad))
-        return h_self - h_full
+        return h_self - h_full(surrogate_indices(view.rows, cfg.method, rng))
 
     return parallel_map(one, range(cfg.count))
 

@@ -20,7 +20,7 @@ valid only when the spectral radius of A stays below one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -203,14 +203,3 @@ def simulate(cfg: GdsConfig) -> SimOutput:
         return simulate_coupled_logistic(cfg)
     return simulate_linear_gaussian(cfg)
 
-
-def coupling_matrix_for_chain(m: int, weight: float) -> tuple[tuple[float, ...], ...]:
-    """Convenience: weight on each edge i -> i+1 of a chain, zero elsewhere."""
-    w = np.zeros((m, m))
-    for i in range(m - 1):
-        w[i + 1, i] = weight
-    return tuple(tuple(row) for row in w)
-
-
-def replace_seed(cfg: GdsConfig, seed: int) -> GdsConfig:
-    return replace(cfg, seed=seed)

@@ -169,6 +169,7 @@ class EmbeddedView:
     discrete: bool
     alphabet_sizes: tuple[int, ...] | None = None
     _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _ids: dict = field(default_factory=dict, repr=False, compare=False)
     uid: int = field(default=-1, repr=False, compare=False)
 
     def __post_init__(self):
@@ -207,6 +208,20 @@ class EmbeddedView:
         if not self.discrete or self.alphabet_sizes is None:
             raise ValidationError("view is not discrete")
         return self.alphabet_sizes[self._pos(subsystem)]
+
+    def symbol_ids(self, role: str, subsystem: int) -> tuple[np.ndarray, int]:
+        """Dense per-row ids 0..k-1 of a subsystem's "next" (target) or
+        "history" block, and k; rows share an id exactly when their values
+        are equal. Kept, read-only, for the view's lifetime."""
+        found = self._ids.get((role, subsystem))
+        if found is None:
+            block = self.target(subsystem) if role == "next" else self.history(subsystem)
+            uniq, ids = np.unique(block, axis=0, return_inverse=True)
+            ids = ids.reshape(-1)
+            ids.flags.writeable = False
+            # concurrent first calls compute equal values; either may stay
+            found = self._ids.setdefault((role, subsystem), (ids, len(uniq)))
+        return found
 
 
 def load_csv(path) -> TimeSeriesSet:

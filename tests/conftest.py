@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import netinfer as ni
+from netinfer.estimators import history, next_value
+from netinfer.significance import derive_seed, surrogate_indices
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +33,72 @@ def counting_cond_entropy(z_rows, w_rows):
     for (zk, wk), c in czw.items():
         h += (c / n) * (math.log2(cw[wk]) - math.log2(c))
     return h
+
+
+# The slow reference for the discrete counting kernel is the matrix path it
+# replaced: concatenate the selected blocks, give each row a mixed-radix code
+# and count the codes with two sorts. Values must match it bit for bit.
+
+def reference_matrix(view, selections):
+    """The selected blocks side by side, with one radix per column."""
+    cols, radices = [], []
+    for sel in selections:
+        if sel.role == "next":
+            block = view.target(sel.subsystem)[:, None]
+        else:
+            block = view.history(sel.subsystem)
+        cols.append(block)
+        radices.extend([view.alphabet(sel.subsystem)] * block.shape[1])
+    if not cols:
+        return np.empty((view.rows, 0), dtype=np.int64), radices
+    return np.hstack(cols), radices
+
+
+def reference_row_codes(mat, radices):
+    if mat.shape[1] == 0:
+        return np.zeros(mat.shape[0], dtype=np.int64)
+    if math.prod(int(r) for r in radices) <= 2 ** 62:
+        code = np.zeros(mat.shape[0], dtype=np.int64)
+        for k in range(mat.shape[1]):
+            code = code * int(radices[k]) + mat[:, k]
+        return code
+    _, inv = np.unique(mat, axis=0, return_inverse=True)
+    return inv.reshape(-1).astype(np.int64)
+
+
+def reference_discrete_cond_entropy(z, z_rad, w, w_rad):
+    n = z.shape[0]
+    if w.shape[1] == 0:
+        code = reference_row_codes(z, z_rad)
+        _, inv, cnt = np.unique(code, return_inverse=True, return_counts=True)
+        return float(np.mean(np.log2(n) - np.log2(cnt[inv])))
+    wcode = reference_row_codes(w, w_rad)
+    zwcode = reference_row_codes(np.hstack([w, z]), list(w_rad) + list(z_rad))
+    _, winv, wcnt = np.unique(wcode, return_inverse=True, return_counts=True)
+    _, zwinv, zwcnt = np.unique(zwcode, return_inverse=True, return_counts=True)
+    return float(np.mean(np.log2(wcnt[winv]) - np.log2(zwcnt[zwinv])))
+
+
+def reference_conditional_entropy(target, conditioners, view):
+    z, z_rad = reference_matrix(view, target)
+    w, w_rad = reference_matrix(view, conditioners)
+    return reference_discrete_cond_entropy(z, z_rad, w, w_rad)
+
+
+def reference_surrogate_te_samples(dest, sources, view, cfg):
+    """Serial surrogate population on the reference path."""
+    z, z_rad = reference_matrix(view, [next_value(dest)])
+    wd, wd_rad = reference_matrix(view, [history(dest)])
+    ws, ws_rad = reference_matrix(view, [history(s) for s in sources])
+    h_self = reference_discrete_cond_entropy(z, z_rad, wd, wd_rad)
+    samples = []
+    for i in range(cfg.count):
+        rng = np.random.default_rng(derive_seed(cfg.seed, i))
+        idx = surrogate_indices(view.rows, cfg.method, rng)
+        w = np.hstack([wd, ws[idx]])
+        samples.append(h_self - reference_discrete_cond_entropy(
+            z, z_rad, w, wd_rad + ws_rad))
+    return samples
 
 
 def chi2_cdf_quadrature(df: int, x: float, panels: int = 4096) -> float:

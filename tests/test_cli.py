@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +51,27 @@ def test_simulate_invalid_epsilon_names_field(tmp_path, capsys):
     code = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
     assert code == 1
     assert "epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", "abc"),
+    ("seed", "x"),
+    ("obs_noise_std", "x"),
+    ("edges", [["V1"]]),
+])
+def test_simulate_config_parse_error_exits_1(tmp_path, field, value):
+    cfg = _chain_config(tmp_path)
+    doc = json.loads(cfg.read_text(encoding="utf-8"))
+    doc[field] = value
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "netinfer", "simulate", "--config", str(cfg),
+         "--out-dir", str(tmp_path / "x")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and field in proc.stderr
 
 
 def test_simulate_same_seed_byte_identical(tmp_path):

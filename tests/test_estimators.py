@@ -7,10 +7,13 @@ import netinfer as ni
 from netinfer.errors import NumericError, ValidationError
 from netinfer.estimators import history, next_value
 
+from netinfer.estimators import _BINCOUNT_CAP
+
 from conftest import (
     counting_cond_entropy,
     gaussian_cond_var,
     random_discrete_view,
+    reference_conditional_entropy,
     simulate_chain,
     stationary_covariance,
 )
@@ -66,6 +69,55 @@ def test_plugin_matches_counting_oracle():
     z_rows = view.target(0)[:, None]
     w_rows = np.hstack([view.history(0), view.history(1)])
     assert res.value == pytest.approx(counting_cond_entropy(z_rows, w_rows), abs=1e-12)
+
+
+def _kernel_cases(view):
+    """(target, conditioners) pairs: one to three sources, no conditioner,
+    and the joint next step given every past."""
+    m = len(view.subsystems)
+    cases = [([next_value(0)], [history(0)] + [history(s) for s in range(1, 1 + k)])
+             for k in range(1, m)]
+    cases.append(([next_value(1)], []))
+    cases.append(([next_value(s) for s in range(m)], [history(s) for s in range(m)]))
+    return cases
+
+
+@pytest.mark.parametrize("bins", [2, 4, 8, 16])
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+def test_discrete_kernel_bit_identical_to_reference(bins, kappa):
+    view = random_discrete_view(4, 3000, bins, seed=10 * bins + kappa, kappa=kappa)
+    for target, conds in _kernel_cases(view):
+        got = ni.conditional_entropy(target, conds, view, DISCRETE).value
+        assert got == reference_conditional_entropy(target, conds, view)
+
+
+def test_discrete_kernel_bit_identical_on_chain_data(chain3_discrete_view):
+    view = chain3_discrete_view
+    for target, conds in _kernel_cases(view):
+        got = ni.conditional_entropy(target, conds, view, DISCRETE).value
+        assert got == reference_conditional_entropy(target, conds, view)
+
+
+def test_discrete_kernel_sort_fallback_bit_identical():
+    # more distinct (past, past) rows than the bincount cap admits, so the
+    # joint ids are counted by sorting
+    view = random_discrete_view(2, 100_000, 16, seed=61, kappa=3)
+    conds = [history(0), history(1)]
+    joint = np.hstack([view.history(0), view.history(1)])
+    assert len(np.unique(joint, axis=0)) > _BINCOUNT_CAP
+    got = ni.conditional_entropy(next_value(0), conds, view, DISCRETE).value
+    assert got == reference_conditional_entropy([next_value(0)], conds, view)
+
+
+@pytest.mark.parametrize("bins, kappa", [(2, 3), (4, 2), (8, 1)])
+def test_plugin_multi_source_matches_counting_oracle(bins, kappa):
+    view = random_discrete_view(4, 1500, bins, seed=bins + kappa, kappa=kappa)
+    for target, conds in _kernel_cases(view):
+        got = ni.conditional_entropy(target, conds, view, DISCRETE).value
+        z_rows = np.hstack([view.target(t.subsystem)[:, None] for t in target])
+        w_rows = (np.hstack([view.history(c.subsystem) for c in conds]) if conds
+                  else np.zeros((view.rows, 0), dtype=np.int64))
+        assert got == pytest.approx(counting_cond_entropy(z_rows, w_rows), abs=1e-12)
 
 
 def test_plugin_chain_rule_agreement():

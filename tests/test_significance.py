@@ -15,7 +15,14 @@ from netinfer.significance import (
     te_statistic,
 )
 
-from conftest import chi2_quantile_quadrature, random_discrete_view, simulate_chain
+from netinfer.estimators import _BINCOUNT_CAP
+
+from conftest import (
+    chi2_quantile_quadrature,
+    random_discrete_view,
+    reference_surrogate_te_samples,
+    simulate_chain,
+)
 
 DISCRETE = ni.EstimatorKind.discrete_plugin()
 
@@ -153,6 +160,42 @@ def test_surrogates_deterministic_and_order_free():
     first = ni.surrogate_te_samples(0, [1], view, DISCRETE, cfg)
     second = ni.surrogate_te_samples(0, [1], view, DISCRETE, cfg)
     assert first == second
+
+
+@pytest.mark.parametrize("bins", [2, 4, 8, 16])
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+@pytest.mark.parametrize("method", ["permutation", "bootstrap"])
+def test_surrogates_bit_identical_to_reference(bins, kappa, method):
+    view = random_discrete_view(4, 1500, bins, seed=10 * bins + kappa, kappa=kappa)
+    cfg = ni.SurrogateConfig(count=5, alpha=0.5, method=method, seed=bins + kappa)
+    for k in (1, 2, 3):
+        sources = tuple(range(1, 1 + k))
+        got = ni.surrogate_te_samples(0, sources, view, DISCRETE, cfg)
+        assert got == reference_surrogate_te_samples(0, sources, view, cfg)
+
+
+@pytest.mark.parametrize("method", ["permutation", "bootstrap"])
+def test_surrogates_sort_fallback_bit_identical(method):
+    # (own past, next) pairs times joint source pasts exceed the bincount
+    # cap, so every surrogate is counted by sorting
+    view = random_discrete_view(3, 3000, 16, seed=33, kappa=3)
+    pairs = np.hstack([view.history(0), view.target(0)[:, None]])
+    sources = np.hstack([view.history(1), view.history(2)])
+    assert (len(np.unique(pairs, axis=0)) * len(np.unique(sources, axis=0))
+            > _BINCOUNT_CAP)
+    cfg = ni.SurrogateConfig(count=5, alpha=0.5, method=method, seed=4)
+    got = ni.surrogate_te_samples(0, (1, 2), view, DISCRETE, cfg)
+    assert got == reference_surrogate_te_samples(0, (1, 2), view, cfg)
+
+
+def test_surrogates_independent_of_thread_count(monkeypatch):
+    view = random_discrete_view(3, 2000, 8, seed=9, kappa=2)
+    cfg = ni.SurrogateConfig(count=40, alpha=0.9, seed=5)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NETINFER_THREADS", threads)
+        runs.append(ni.surrogate_te_samples(2, (0, 1), view, DISCRETE, cfg))
+    assert runs[0] == runs[1]
 
 
 def test_null_measurement_is_one_more_draw():

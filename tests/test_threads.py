@@ -27,6 +27,12 @@ def test_worker_count_env_parsing():
     assert _with_env("garbage", threads.worker_count) == auto
 
 
+def test_worker_count_clamped():
+    # only sizes the pool; nothing is started at this value
+    assert _with_env("100000", threads.worker_count) == threads.MAX_WORKERS
+    assert _with_env(str(threads.MAX_WORKERS), threads.worker_count) == threads.MAX_WORKERS
+
+
 def test_parallel_map_preserves_order():
     def run():
         return threads.parallel_map(lambda x: x * x, range(25))
