@@ -11,8 +11,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 _AUTO_CAP = 8
-# The count also sizes the cKDTree workers of each pool thread, so a run
-# can hold up to MAX_WORKERS ** 2 threads.
+# The pool is the only level of threading (entropy kernels run serially in
+# each pool thread), so a run holds at most MAX_WORKERS worker threads.
 MAX_WORKERS = 32
 
 

@@ -191,19 +191,32 @@ def _print_report(report):
 # ---------------------------------------------------------------------------
 # simulate
 
-def _config_field(doc: dict, key: str, cast, default=None):
+def _config_field(doc: dict, key: str, cast, default=None, kind=None):
     try:
         return cast(doc.get(key, default))
     except (TypeError, ValueError):
-        raise ValidationError(f"config field {key!r} must be {cast.__name__}, "
+        raise ValidationError(f"config field {key!r} must be {kind or cast.__name__}, "
                               f"got {doc.get(key, default)!r}") from None
+
+
+def _str_list(value) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError
+    return value
+
+
+def _number_tuple(value) -> tuple:
+    value = tuple(value)
+    for v in value:
+        float(v)  # raises on a non-numeric entry; the values stay as given
+    return value
 
 
 def _config_from_json(doc: dict) -> GdsConfig:
     for key in ("names", "edges", "model", "n"):
         if key not in doc:
             raise ValidationError(f"config is missing required field {key!r}")
-    names = _config_field(doc, "names", list)
+    names = _config_field(doc, "names", _str_list, kind="a list of strings")
     index = {name: i for i, name in enumerate(names)}
     try:
         edges = [(index[a], index[b]) for a, b in doc["edges"]]
@@ -227,7 +240,9 @@ def _config_from_json(doc: dict) -> GdsConfig:
             )
         else:
             raise ValidationError(f"unknown model type {mtype!r}")
-    except TypeError as exc:
+    except ValidationError:
+        raise
+    except (TypeError, ValueError, KeyError) as exc:
         raise ValidationError(f"bad model field: {exc}") from None
     return GdsConfig(
         graph=graph,
@@ -238,7 +253,8 @@ def _config_from_json(doc: dict) -> GdsConfig:
         burn_in=_config_field(doc, "burn_in", int, 1000),
         seed=_config_field(doc, "seed", int, 0),
         names=tuple(names),
-        initial_states=(_config_field(doc, "initial_states", tuple)
+        initial_states=(_config_field(doc, "initial_states", _number_tuple,
+                                      kind="a list of numbers")
                         if doc.get("initial_states") is not None else None),
     )
 

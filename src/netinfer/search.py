@@ -47,7 +47,6 @@ class SearchConfig:
     max_parents: object = AUTO_MAX_PARENTS
     restarts: int = 0
     seed: int = 0
-    tie_break: str = "lexicographic-smallest-edge-set"
 
     def __post_init__(self):
         if self.method not in ("greedy", "exhaustive"):
@@ -56,8 +55,6 @@ class SearchConfig:
             raise ValidationError("restarts must be >= 0")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        if self.tie_break != "lexicographic-smallest-edge-set":
-            raise ValidationError(f"unknown tie break {self.tie_break!r}")
         mp = self.max_parents
         if mp is not None and mp != AUTO_MAX_PARENTS and (
                 not isinstance(mp, int) or mp < 0):

@@ -7,9 +7,11 @@ iteration.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import netinfer as ni
 from netinfer.estimators import history, next_value
@@ -101,6 +103,52 @@ def reference_surrogate_te_samples(dest, sources, view, cfg):
     return samples
 
 
+# The slow reference for the box-kernel counter is the path it replaced: one
+# cKDTree over W and one over (W, Z), each queried row by row. The brute-force
+# oracle compares every pair of rows in the max-norm.
+
+def reference_box_counts(x, width):
+    tree = cKDTree(x)
+    counts = tree.query_ball_point(x, r=width, p=np.inf, return_length=True)
+    return np.asarray(counts, dtype=np.int64) - 1  # drop self
+
+
+def reference_box_cond_entropy(z, w, width):
+    n = z.shape[0]
+    if w.shape[1] == 0:
+        cw = np.full(n, n - 1, dtype=np.int64)
+    else:
+        cw = reference_box_counts(w, width)
+    czw = reference_box_counts(np.hstack([w, z]), width)
+    cw = np.maximum(cw, 1)
+    czw = np.maximum(czw, 1)
+    return float(np.mean(np.log2(cw) - np.log2(czw)))
+
+
+def reference_box_surrogate_te_samples(dest, sources, view, width, cfg):
+    """Serial box-kernel surrogate population on the reference path."""
+    z = view.target(dest)[:, None]
+    wd = view.history(dest)
+    ws = np.hstack([view.history(s) for s in sources])
+    h_self = reference_box_cond_entropy(z, wd, width)
+    samples = []
+    for i in range(cfg.count):
+        rng = np.random.default_rng(derive_seed(cfg.seed, i))
+        idx = surrogate_indices(view.rows, cfg.method, rng)
+        samples.append(h_self - reference_box_cond_entropy(
+            z, np.hstack([wd, ws[idx]]), width))
+    return samples
+
+
+def brute_box_counts(x, width):
+    """Rows within max-norm distance width of each row, self excluded."""
+    n = x.shape[0]
+    if x.shape[1] == 0:
+        return np.full(n, n - 1, dtype=np.int64)
+    dist = np.abs(x[:, None, :] - x[None, :, :]).max(axis=2)
+    return (dist <= width).sum(axis=1).astype(np.int64) - 1
+
+
 def chi2_cdf_quadrature(df: int, x: float, panels: int = 4096) -> float:
     """CDF of chi-squared(df) by Simpson quadrature after the substitution
     u = sqrt(t), which removes the integrable singularity at zero."""
@@ -162,6 +210,15 @@ def gaussian_cond_var(cov: np.ndarray, zi, wi) -> float:
     cww = cov[np.ix_(wi, wi)]
     czw = cov[np.ix_(zi, wi)]
     return float((czz - czw @ np.linalg.solve(cww, czw.T))[0, 0])
+
+
+def cli_env():
+    """Environment for `python -m netinfer` subprocesses: the caller's, with
+    the directory that holds the imported package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ni.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 # ---------------------------------------------------------------------------

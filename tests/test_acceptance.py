@@ -28,6 +28,7 @@ from netinfer.significance import te_statistic
 from conftest import (
     chain_dag,
     chi2_quantile_quadrature,
+    cli_env,
     gaussian_cond_var,
     random_discrete_view,
     simulate_chain,
@@ -289,7 +290,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
         def cli(*args):
             proc = subprocess.run(
                 [sys.executable, "-m", "netinfer", *args],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=cli_env(),
             )
             assert proc.returncode == 0, proc.stderr
         cli("simulate", "--config", str(cfg_path), "--out-dir", str(workdir))

@@ -8,6 +8,8 @@ import pytest
 import netinfer as ni
 from netinfer.cli import main
 
+from conftest import cli_env
+
 
 def _chain_config(tmp_path, n=600, seed=11, eps=0.4, name="config.json"):
     doc = {
@@ -58,6 +60,11 @@ def test_simulate_invalid_epsilon_names_field(tmp_path, capsys):
     ("seed", "x"),
     ("obs_noise_std", "x"),
     ("edges", [["V1"]]),
+    ("initial_states", ["a", 0.2, 0.3]),
+    ("names", [["x"], "V2", "V3"]),
+    ("model", {"type": "linear-gaussian", "self_weight": 0.5,
+               "coupling": [["a", 0, 0], [0, 0, 0], [0, 0, 0]]}),
+    ("model", {"type": "linear-gaussian", "self_weight": 0.5}),
 ])
 def test_simulate_config_parse_error_exits_1(tmp_path, field, value):
     cfg = _chain_config(tmp_path)
@@ -67,7 +74,7 @@ def test_simulate_config_parse_error_exits_1(tmp_path, field, value):
     proc = subprocess.run(
         [sys.executable, "-m", "netinfer", "simulate", "--config", str(cfg),
          "--out-dir", str(tmp_path / "x")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=cli_env(),
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,20 @@ import netinfer as ni
 from netinfer.errors import NumericError, ValidationError
 from netinfer.estimators import history, next_value
 
-from netinfer.estimators import _BINCOUNT_CAP
+from netinfer.estimators import (
+    _BINCOUNT_CAP,
+    _BOX_BLOCK,
+    _box_counts,
+    box_cond_entropy,
+)
 
 from conftest import (
+    brute_box_counts,
     counting_cond_entropy,
     gaussian_cond_var,
     random_discrete_view,
+    reference_box_cond_entropy,
+    reference_box_counts,
     reference_conditional_entropy,
     simulate_chain,
     stationary_covariance,
@@ -168,6 +177,71 @@ def test_box_kernel_tracks_gaussian_entropy():
     # kernel ratios estimate probability mass over a box of side 2*width,
     # i.e. density times 2*width: box ~ H - log2(2*width)
     assert abs((box + math.log2(2 * 0.3)) - gauss) < 0.25
+
+
+def _assert_box_counts_exact(w, z, width):
+    cw, czw = _box_counts(w, z, width)
+    wz = np.hstack([w, z])
+    ref_cw = (reference_box_counts(w, width) if w.shape[1]
+              else np.full(len(z), len(z) - 1))
+    assert np.array_equal(cw, ref_cw)
+    assert np.array_equal(czw, reference_box_counts(wz, width))
+    assert np.array_equal(cw, brute_box_counts(w, width))
+    assert np.array_equal(czw, brute_box_counts(wz, width))
+    assert box_cond_entropy(z, w, width) == reference_box_cond_entropy(z, w, width)
+
+
+def test_box_counts_integer_grid_ties():
+    # integer rows at width 1.0: many pairs lie exactly on the box edge,
+    # including across block boundaries in the sorted first coordinate
+    rng = np.random.default_rng(21)
+    w = rng.integers(0, 6, size=(700, 2)).astype(float)
+    z = rng.integers(0, 4, size=(700, 1)).astype(float)
+    _assert_box_counts_exact(w, z, 1.0)
+
+
+def test_box_counts_duplicated_rows():
+    # bootstrap surrogates repeat rows; copies sit at distance 0
+    rng = np.random.default_rng(22)
+    x = rng.random((400, 3))
+    x = x[rng.integers(0, 400, size=400)]
+    _assert_box_counts_exact(x[:, :2], x[:, 2:], 0.1)
+
+
+@pytest.mark.parametrize("n", [1, 2, _BOX_BLOCK - 1, _BOX_BLOCK, _BOX_BLOCK + 1, 300])
+@pytest.mark.parametrize("dw", [0, 1, 3])
+def test_box_counts_match_reference_and_brute_force(n, dw):
+    rng = np.random.default_rng(100 * n + dw)
+    x = rng.random((n, dw + 1))
+    _assert_box_counts_exact(x[:, :dw], x[:, dw:], 0.2)
+
+
+def test_box_counts_multi_column_target():
+    # the joint next-step vector of stochastic_interaction
+    out = simulate_chain(3, seed=23, n=600)
+    view = ni.delay_embed(out.observations, ni.EmbeddingSpec.uniform(3, 1, 2))
+    z = np.hstack([view.target(s)[:, None] for s in range(3)])
+    w = np.hstack([view.history(s) for s in range(3)])
+    _assert_box_counts_exact(w, z, 0.15)
+    got = ni.conditional_entropy([next_value(s) for s in range(3)],
+                                 [history(s) for s in range(3)], view,
+                                 ni.EstimatorKind.box_kernel(0.15)).value
+    assert got == reference_box_cond_entropy(z, w, 0.15)
+
+
+def test_box_counts_memory_bounded_by_block():
+    # a width covering every row: one pair list would hold all n^2/2 pairs,
+    # the block pass at most one block pair's records at a time
+    rng = np.random.default_rng(24)
+    x = rng.random((1500, 3))
+    tracemalloc.start()
+    try:
+        cw, czw = _box_counts(x[:, :2], x[:, 2:], 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(cw == 1499) and np.all(czw == 1499)
+    assert peak < 4 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from netinfer.estimators import _BINCOUNT_CAP
 from conftest import (
     chi2_quantile_quadrature,
     random_discrete_view,
+    reference_box_surrogate_te_samples,
     reference_surrogate_te_samples,
     simulate_chain,
 )
@@ -196,6 +197,19 @@ def test_surrogates_independent_of_thread_count(monkeypatch):
         monkeypatch.setenv("NETINFER_THREADS", threads)
         runs.append(ni.surrogate_te_samples(2, (0, 1), view, DISCRETE, cfg))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("method", ["permutation", "bootstrap"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_box_surrogates_bit_identical_to_reference(monkeypatch, method, threads):
+    out = simulate_chain(3, seed=31, n=500)
+    view = ni.delay_embed(out.observations, ni.EmbeddingSpec.uniform(3, 1, 2))
+    cfg = ni.SurrogateConfig(count=6, alpha=0.5, method=method, seed=8)
+    monkeypatch.setenv("NETINFER_THREADS", threads)
+    for sources in ((0,), (0, 2)):
+        got = ni.surrogate_te_samples(1, sources, view,
+                                      ni.EstimatorKind.box_kernel(0.1), cfg)
+        assert got == reference_box_surrogate_te_samples(1, sources, view, 0.1, cfg)
 
 
 def test_null_measurement_is_one_more_draw():
