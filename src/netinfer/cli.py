@@ -20,10 +20,9 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import __version__
-from .errors import NetinferError, NumericError, ValidationError
+from .errors import DataFormatError, NetinferError, NumericError, ValidationError
 from .estimators import EstimatorKind
-from .graph import (MAX_EXHAUSTIVE_VERTICES, Dag, compare_graphs,
-                    dag_from_dot, write_dot)
+from .graph import Dag, compare_graphs, dag_from_dot, write_dot
 from .scores import SCORE_KINDS, Scorer
 from .search import SearchConfig, exhaustive_search, greedy_hill_climb
 from .significance import SurrogateConfig
@@ -59,6 +58,14 @@ def _atomic_write(path: str, data: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc}") from None
 
 
 def _sha256(path: str) -> str:
@@ -213,6 +220,8 @@ def _number_tuple(value) -> tuple:
 
 
 def _config_from_json(doc: dict) -> GdsConfig:
+    if not isinstance(doc, dict):
+        raise ValidationError("config must be a JSON object")
     for key in ("names", "edges", "model", "n"):
         if key not in doc:
             raise ValidationError(f"config is missing required field {key!r}")
@@ -285,8 +294,10 @@ def _config_echo(cfg: GdsConfig) -> dict:
 def cmd_simulate(args, argv) -> int:
     manifest = _Manifest("simulate", argv)
     manifest.add_config(args.config)
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        doc = json.loads(_read_text(args.config))
+    except RecursionError:
+        raise DataFormatError(f"{args.config}: JSON nested too deeply") from None
     cfg = _config_from_json(doc)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -324,8 +335,7 @@ def cmd_score(args, argv) -> int:
     manifest.add_input(args.graph)
     manifest.add_seed("score", args.seed)
     ts = load_csv(args.data)
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        graph, _ = dag_from_dot(fh.read(), names=ts.names)
+    graph, _ = dag_from_dot(_read_text(args.graph), names=ts.names)
     scorer = _build_scorer(args, ts)
     report = scorer.score(graph)
     _print_report(report)
@@ -347,12 +357,6 @@ def cmd_infer(args, argv) -> int:
     manifest.add_seed("score", args.seed)
     manifest.add_seed("search", args.seed)
     ts = load_csv(args.data)
-    if args.search == "exhaustive" and ts.m > MAX_EXHAUSTIVE_VERTICES:
-        raise ValidationError(
-            f"exhaustive search supports at most {MAX_EXHAUSTIVE_VERTICES} "
-            f"subsystems, got {ts.m}; "
-            "use --search greedy"
-        )
     if args.score in ("te", "ml") and args.max_parents is None:
         print(
             f"warning: --score {args.score} is non-decreasing in parents; "
@@ -397,10 +401,8 @@ def cmd_eval(args, argv) -> int:
     manifest = _Manifest("eval", argv)
     manifest.add_input(args.inferred)
     manifest.add_input(args.truth)
-    with open(args.truth, "r", encoding="utf-8") as fh:
-        truth, truth_names = dag_from_dot(fh.read())
-    with open(args.inferred, "r", encoding="utf-8") as fh:
-        inferred, _ = dag_from_dot(fh.read(), names=truth_names)
+    truth, truth_names = dag_from_dot(_read_text(args.truth))
+    inferred, _ = dag_from_dot(_read_text(args.inferred), names=truth_names)
     metrics = compare_graphs(inferred, truth)
     print(json.dumps(metrics, indent=2))
     if args.out:

@@ -1,5 +1,9 @@
 """Finding the best-scoring DAG: exhaustive enumeration or greedy climbing.
 
+Exhaustive search sums memoized local scores over every DAG that
+:func:`graph.enumerate_dags` yields; it builds a graph's tie-break edge key
+only when the total lies within the tie window of the best so far.
+
 Hill climbing starts from the empty graph (penalized scores make it the
 natural null model) plus optional random restarts, and repeatedly applies
 the single edge addition, deletion or reversal with the largest positive
@@ -103,6 +107,8 @@ def exhaustive_search(scorer: Scorer, cfg: SearchConfig | None = None) -> Search
     for graph in enumerate_dags(m):
         total = sum(scorer.local(v, graph.parents[v]).local for v in range(m))
         visited += 1
+        if best is not None and total < best_total - _TIE_EPS:
+            continue  # below the tie window _better is False whatever the edges
         edges = _edge_key(graph)
         if best is None or _better(total, edges, best_total, best_edges):
             best, best_total, best_edges = graph, total, edges

@@ -234,8 +234,8 @@ def load_csv(path) -> TimeSeriesSet:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc}") from exc
     if not rows:
         raise DataFormatError(f"{path}: empty file, header row required")
     header = [h.strip() for h in rows[0]]

@@ -149,6 +149,63 @@ def brute_box_counts(x, width):
     return (dist <= width).sum(axis=1).astype(np.int64) - 1
 
 
+# The slow reference for exact search is the path it replaced: a recursive
+# enumerator that walks the graph to test each candidate parent set for a
+# cycle and builds every Dag through the validating constructor, and a search
+# loop that builds the edge key of every graph.
+
+def reference_enumerate_dags(m):
+    others = [tuple(u for u in range(m) if u != v) for v in range(m)]
+    choices = [[tuple(others[v][b] for b in range(m - 1) if mask >> b & 1)
+                for mask in range(1 << (m - 1))] for v in range(m)]
+    assigned = [() for _ in range(m)]
+
+    def vertex_on_cycle(k):
+        targets = set(assigned[k])
+        if not targets:
+            return False
+        children = [[] for _ in range(m)]
+        for dst in range(k + 1):
+            for src in assigned[dst]:
+                children[src].append(dst)
+        stack, seen = [k], {k}
+        while stack:
+            v = stack.pop()
+            for c in children[v]:
+                if c in targets:
+                    return True
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+        return False
+
+    def rec(k):
+        if k == m:
+            yield ni.Dag(m, tuple(assigned))
+            return
+        for ps in choices[k]:
+            assigned[k] = ps
+            if not vertex_on_cycle(k):
+                yield from rec(k + 1)
+        assigned[k] = ()
+
+    yield from rec(0)
+
+
+def reference_exhaustive_search(scorer, tie_eps):
+    """(best graph, visited) of the per-graph loop with an edge key each."""
+    m = scorer.view.m_total
+    best, best_total, best_edges, visited = None, -np.inf, None, 0
+    for graph in reference_enumerate_dags(m):
+        total = sum(scorer.local(v, graph.parents[v]).local for v in range(m))
+        visited += 1
+        edges = graph.edges()
+        if (best is None or total > best_total + tie_eps
+                or (total >= best_total - tie_eps and edges < best_edges)):
+            best, best_total, best_edges = graph, total, edges
+    return best, visited
+
+
 def chi2_cdf_quadrature(df: int, x: float, panels: int = 4096) -> float:
     """CDF of chi-squared(df) by Simpson quadrature after the substitution
     u = sqrt(t), which removes the integrable singularity at zero."""

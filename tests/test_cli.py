@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netinfer as ni
 from netinfer.cli import main
@@ -326,3 +332,138 @@ def test_eval_metrics_schema(tmp_path):
 
 def test_usage_error_is_validation_exit(capsys):
     assert main(["score", "--data", "x.csv"]) == 1  # missing --graph
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+
+@pytest.mark.parametrize("command, role", [
+    ("infer", "data"), ("score", "graph"), ("eval", "inferred"),
+    ("eval", "truth"), ("simulate", "config"),
+])
+def test_non_utf8_input_exits_1_with_one_line(tmp_path, simulated, capsys,
+                                              command, role):
+    good = {"data": str(simulated / "data.csv"),
+            "graph": str(simulated / "truth.dot"),
+            "inferred": str(simulated / "truth.dot"),
+            "truth": str(simulated / "truth.dot"),
+            "config": str(_chain_config(tmp_path))}
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff" + b"V1,V2,V3\n0.1,0.2,0.3\n")
+    good[role] = str(bad)
+    flags = {"infer": ["data"], "score": ["data", "graph"],
+             "eval": ["inferred", "truth"], "simulate": ["config"]}[command]
+    argv = [command] + [a for f in flags for a in (f"--{f}", good[f])]
+    if command in ("infer", "simulate"):
+        argv += ["--out-dir", str(tmp_path / "out")]
+    if command in ("infer", "score"):
+        argv += ["--score", "tea", "--bins", "2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_config_exits_1_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+
+
+def _assert_clean_exit(argv):
+    """Run the CLI in-process: no exception may escape, the exit code must be
+    documented, and stderr must be at most one line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
+
+
+def _file_bytes(lines):
+    """Arbitrary bytes, arbitrary text, or text of the file's own format."""
+    return st.one_of(
+        st.binary(max_size=200),
+        st.text(max_size=200).map(lambda t: t.encode("utf-8")),
+        lines.map(lambda ls: "\n".join(ls).encode("utf-8")),
+    )
+
+
+def _csv_lines(header, rows, bad):
+    if bad is not None:
+        rows.insert(bad[0], bad[1])
+    return [header] + rows
+
+
+_CSV_LINES = st.builds(
+    _csv_lines,
+    st.just("V1,V2") | st.sampled_from(["V1,V1", "V1", "V1,", "V1,V2,V3"]),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+        lambda r: f"{r[0]},{r[1]}"), max_size=12),
+    st.none() | st.tuples(st.integers(0, 12), st.sampled_from(
+        ["0.5,x", "nan,1", "1_0,2", "1", "1e308,-1e308", '"1\n2",1', ""])),
+)
+_DOT_LINES = st.lists(st.sampled_from([
+    "digraph G {", "}", '"V1";', '"V2";', '"V1" -> "V2";', '"V2" -> "V1";',
+    '"V1" -> "V1";', '"V3" -> "V1";', "// note", "node", '"V1" -> ;']),
+    max_size=10)
+_CONFIG_LINES = st.lists(st.sampled_from(
+    ['{', '}', '"names": ["V1"],', '"n": 5', ",", "[", "]"]), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_file_bytes(_CSV_LINES))
+def test_fuzz_infer_data_file(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        _assert_clean_exit(["infer", "--data", path, "--out-dir",
+                            os.path.join(tmp, "out"), "--score", "tea",
+                            "--bins", "2", "--kappa", "1"])
+
+
+@settings(deadline=None, max_examples=60)
+@given(_file_bytes(_DOT_LINES), st.booleans())
+def test_fuzz_eval_dot_files(data, as_truth):
+    with tempfile.TemporaryDirectory() as tmp:
+        fuzzed = os.path.join(tmp, "fuzzed.dot")
+        good = os.path.join(tmp, "good.dot")
+        with open(fuzzed, "wb") as fh:
+            fh.write(data)
+        with open(good, "w", encoding="utf-8") as fh:
+            fh.write(ni.write_dot(ni.Dag.from_edges(2, [(0, 1)]), ("V1", "V2")))
+        truth, inferred = (fuzzed, good) if as_truth else (good, fuzzed)
+        _assert_clean_exit(["eval", "--inferred", inferred, "--truth", truth])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(
+    _file_bytes(_CONFIG_LINES),
+    _JSON_VALUES.map(lambda v: json.dumps(v).encode("utf-8")),
+    st.tuples(st.sampled_from(["names", "edges", "model", "n", "burn_in", "seed",
+                               "process_noise_std", "obs_noise_std",
+                               "initial_states"]), _JSON_VALUES),
+))
+def test_fuzz_simulate_config(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        if isinstance(case, tuple):  # a valid config with one field replaced
+            field, value = case
+            doc = {"names": ["V1", "V2"], "edges": [["V1", "V2"]],
+                   "model": {"type": "coupled-logistic", "r": 4.0, "epsilon": 0.4},
+                   "n": 50, "burn_in": 10, "seed": 0}
+            doc[field] = value
+            case = json.dumps(doc).encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(case)
+        _assert_clean_exit(["simulate", "--config", path, "--out-dir",
+                            os.path.join(tmp, "out")])

@@ -5,7 +5,7 @@ import netinfer as ni
 from netinfer.errors import DataFormatError, ValidationError
 from netinfer.graph import creates_cycle, random_dag, topological_order
 
-from conftest import labelled_dag_count
+from conftest import labelled_dag_count, reference_enumerate_dags
 
 
 def test_empty_graph_is_acyclic():
@@ -53,6 +53,47 @@ def test_enumerate_dag_counts_small(m, count):
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_enumerate_matches_recurrence(m):
     assert sum(1 for _ in ni.enumerate_dags(m)) == labelled_dag_count(m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_enumerate_matches_reference_order(m):
+    graphs = list(ni.enumerate_dags(m))
+    assert [g.parents for g in graphs] == [
+        g.parents for g in reference_enumerate_dags(m)]
+    for g in graphs:
+        validated = ni.Dag(m, g.parents)
+        assert g == validated and hash(g) == hash(validated)
+
+
+def _reference_topological_order(graph):
+    indeg = [len(ps) for ps in graph.parents]
+    queue = sorted(v for v in range(graph.m) if indeg[v] == 0)
+    order = []
+    while queue:
+        v = queue.pop(0)
+        order.append(v)
+        for c in range(graph.m):
+            if v in graph.parents[c]:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    queue.append(c)
+    return order
+
+
+def test_topological_order_and_acyclicity_match_reference():
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        m = int(rng.integers(1, 7))
+        parents = [tuple(int(u) for u in range(m) if u != v and rng.random() < 0.3)
+                   for v in range(m)]
+        g = ni.Dag(m, tuple(parents))
+        ref = _reference_topological_order(g)
+        assert ni.is_acyclic(g) == (len(ref) == m)
+        if len(ref) == m:
+            assert topological_order(g) == ref
+        else:
+            with pytest.raises(ValidationError, match="cycle"):
+                topological_order(g)
 
 
 def test_enumerate_rejects_large_m():

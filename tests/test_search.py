@@ -4,7 +4,9 @@ import pytest
 import netinfer as ni
 from netinfer.errors import ValidationError
 from netinfer.graph import random_dag
+from netinfer.scores import LocalScore
 from netinfer.search import (
+    _TIE_EPS,
     SearchConfig,
     _candidate_moves,
     _apply,
@@ -13,16 +15,31 @@ from netinfer.search import (
     move_delta,
 )
 
-from conftest import chain_dag, random_discrete_view, simulate_chain
+from conftest import (
+    chain_dag,
+    random_discrete_view,
+    reference_exhaustive_search,
+    simulate_chain,
+)
 
 DISCRETE = ni.EstimatorKind.discrete_plugin()
 
 
+def _chain_view(m, seed, n):
+    disc = ni.discretize(simulate_chain(m, seed=seed, n=n).observations, 4)
+    return ni.delay_embed(disc, ni.EmbeddingSpec.uniform(m, 1, 2))
+
+
 def _chain_scorer(score_kind="tea", seed=300, **kw):
-    out = simulate_chain(3, seed=seed, n=4000)
-    disc = ni.discretize(out.observations, 4)
-    view = ni.delay_embed(disc, ni.EmbeddingSpec.uniform(3, 1, 2))
-    return ni.Scorer(view, score_kind, DISCRETE, **kw)
+    return ni.Scorer(_chain_view(3, seed, 4000), score_kind, DISCRETE, **kw)
+
+
+def _periodic_view():
+    # perfectly periodic data: every conditional entropy is exactly zero
+    sym = np.tile([0, 1], 100)
+    disc = ni.DiscretizedSeries.from_symbols(
+        np.vstack([sym, sym, np.roll(sym, 1)]), (2, 2, 2))
+    return ni.delay_embed(disc, ni.EmbeddingSpec.uniform(3, 1, 1))
 
 
 def test_search_config_validation():
@@ -53,13 +70,8 @@ def test_exhaustive_rejects_m_above_cap():
 
 
 def test_exhaustive_tie_break_lexicographic():
-    # perfectly periodic data: every conditional entropy is exactly zero, so
     # all 25 DAGs tie at total 0 and the empty graph (smallest edge set) wins
-    sym = np.tile([0, 1], 100)
-    disc = ni.DiscretizedSeries.from_symbols(
-        np.vstack([sym, sym, np.roll(sym, 1)]), (2, 2, 2))
-    view = ni.delay_embed(disc, ni.EmbeddingSpec.uniform(3, 1, 1))
-    sc = ni.Scorer(view, "te", DISCRETE)
+    sc = ni.Scorer(_periodic_view(), "te", DISCRETE)
     result = exhaustive_search(sc)
     assert result.best.n_edges == 0
 
@@ -154,3 +166,68 @@ def test_greedy_close_to_exhaustive_on_seeded_datasets():
 
 def test_every_enumerated_graph_acyclic_m4():
     assert all(ni.is_acyclic(g) for g in ni.enumerate_dags(4))
+
+
+_SEARCH_VIEWS = {
+    "chain3": lambda: _chain_view(3, 300, 4000),
+    "periodic3": _periodic_view,
+    "random4": lambda: random_discrete_view(4, 1000, 2, seed=2),
+    "chain5": lambda: _chain_view(5, 301, 2000),
+}
+
+
+@pytest.mark.parametrize("score_kind", ["te", "tea", "tee", "bic"])
+@pytest.mark.parametrize("dataset", sorted(_SEARCH_VIEWS))
+def test_exhaustive_matches_reference_search(dataset, score_kind):
+    kw = {"surrogates": ni.SurrogateConfig(19, 0.95, seed=4)} if score_kind == "tee" else {}
+    sc = ni.Scorer(_SEARCH_VIEWS[dataset](), score_kind, DISCRETE, **kw)
+    ref_best, ref_visited = reference_exhaustive_search(sc, _TIE_EPS)
+    result = exhaustive_search(sc)
+    assert result.best.parents == ref_best.parents
+    assert result.visited == ref_visited
+    assert result.best_report.to_dict() == sc.score(ref_best).to_dict()
+
+
+class _NearTieScorer:
+    """A vertex scores 1 when its parents sum to 3 and 0 otherwise, plus a
+    perturbation below the tie tolerance. The five optimal DAGs then differ
+    in total by less than _TIE_EPS, and the first one enumerated is not the
+    one with the smallest edge set."""
+
+    class view:
+        m_total = 4
+
+    @staticmethod
+    def local(vertex, parents):
+        bump = (7 * vertex + 3 * sum(parents) + len(parents)) % 5
+        return LocalScore(te=0.0, penalty=0.0,
+                          local=float(sum(parents) == 3) + bump * _TIE_EPS / 25)
+
+    @staticmethod
+    def score(graph):
+        return None
+
+
+def test_exhaustive_near_ties_pick_smallest_edge_set():
+    sc = _NearTieScorer()
+    ref_best, ref_visited = reference_exhaustive_search(sc, _TIE_EPS)
+    result = exhaustive_search(sc)
+    assert result.best.parents == ref_best.parents
+    assert result.visited == ref_visited == 543
+    totals = {g: sum(sc.local(v, g.parents[v]).local for v in range(g.m))
+              for g in ni.enumerate_dags(4)}
+    top = max(totals.values())
+    tied = [g for g, t in totals.items() if t >= top - _TIE_EPS]
+    assert len(tied) == 5 and top - min(totals[g] for g in tied) > 0
+    assert result.best.edges() == min(g.edges() for g in tied)
+    assert totals[result.best] < top  # the winner is not the strict maximum
+
+
+def test_exhaustive_scores_each_vertex_once_per_graph():
+    # one Scorer.local lookup per vertex per graph, plus one per vertex for
+    # the report of the best graph
+    view = random_discrete_view(4, 1000, 2, seed=2)
+    sc = ni.Scorer(view, "tea", DISCRETE)
+    result = exhaustive_search(sc)
+    assert result.visited == 543
+    assert sc.cache.hits + sc.cache.misses == result.visited * 4 + 4
