@@ -37,7 +37,6 @@ from .scores import (
     LocalScoreCache,
     ScoreReport,
     Scorer,
-    local_score,
     score_ic,
     score_te,
     score_tea,
@@ -63,8 +62,6 @@ from .simulate import (
     LinearGaussianModel,
     SimOutput,
     simulate,
-    simulate_coupled_logistic,
-    simulate_linear_gaussian,
 )
 from .timeseries import (
     DiscretizedSeries,
@@ -94,11 +91,11 @@ __all__ = [
     # graphs and scores
     "Dag", "is_acyclic", "enumerate_dags", "compare_graphs",
     "write_dot", "parse_dot", "dag_from_dot",
-    "Scorer", "ScoreReport", "LocalScoreCache", "local_score",
+    "Scorer", "ScoreReport", "LocalScoreCache",
     "score_te", "score_tea", "score_tee", "score_ic",
     # search
     "SearchConfig", "SearchResult", "exhaustive_search", "greedy_hill_climb",
     # simulation
     "GdsConfig", "CoupledLogisticModel", "LinearGaussianModel", "SimOutput",
-    "simulate", "simulate_coupled_logistic", "simulate_linear_gaussian",
+    "simulate",
 ]

@@ -157,12 +157,7 @@ def _build_scorer(args, ts) -> Scorer:
         tau=tuple(_parse_int_list(args.tau, m, "--tau")),
         kappa=tuple(_parse_int_list(args.kappa, m, "--kappa")),
     )
-    needs_discrete = args.estimator == "discrete" or args.score in ("aic", "bic", "ml")
-    if args.score in ("aic", "bic", "ml") and args.estimator != "discrete":
-        raise ValidationError(
-            f"--score {args.score} requires --estimator discrete"
-        )
-    if needs_discrete:
+    if args.estimator == "discrete":
         if args.bins is None:
             raise ValidationError(
                 "--bins is required for the discrete-plugin estimator"
@@ -364,16 +359,14 @@ def cmd_infer(args, argv) -> int:
             file=sys.stderr,
         )
     scorer = _build_scorer(args, ts)
-    cfg = SearchConfig(
-        method=args.search,
-        max_parents=args.max_parents if args.max_parents is not None else "auto",
-        restarts=args.restarts,
-        seed=args.seed,
-    )
     if args.search == "exhaustive":
-        result = exhaustive_search(scorer, cfg)
+        result = exhaustive_search(scorer)
     else:
-        result = greedy_hill_climb(scorer, cfg)
+        result = greedy_hill_climb(scorer, SearchConfig(
+            max_parents=args.max_parents if args.max_parents is not None else "auto",
+            restarts=args.restarts,
+            seed=args.seed,
+        ))
 
     os.makedirs(args.out_dir, exist_ok=True)
     dot_path = os.path.join(args.out_dir, "inferred.dot")

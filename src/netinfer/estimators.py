@@ -63,9 +63,6 @@ class EstimatorKind:
     def box_kernel(cls, width: float) -> "EstimatorKind":
         return cls("box-kernel", float(width))
 
-    def token(self) -> tuple:
-        return (self.method, self.width)
-
 
 @dataclass(frozen=True)
 class EntropyResult:

@@ -96,57 +96,32 @@ class Dag:
         return self.without_edge(src, dst).with_edge(dst, src)
 
 
-def _kahn_order(graph: Dag) -> list[int]:
-    """Kahn's algorithm, smallest ready vertex first and then FIFO; the order
-    misses every vertex on or downstream of a cycle."""
-    indeg = [len(ps) for ps in graph.parents]
-    children: list[list[int]] = [[] for _ in range(graph.m)]
-    for dst, ps in enumerate(graph.parents):
-        for src in ps:
-            children[src].append(dst)
-    order = [v for v in range(graph.m) if indeg[v] == 0]
-    for v in order:  # the list grows while it is walked: a FIFO queue
-        for c in children[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                order.append(c)
-    return order
+def _reach(parent_masks: Sequence[int], start: int) -> int:
+    """Bit mask of the vertices reachable from start (start included) along
+    edge direction; bit p of parent_masks[c] marks the edge p -> c. Vertices
+    past len(parent_masks) have no in-edges and so are never reached."""
+    reach = 1 << start
+    grown = True
+    while grown:
+        grown = False
+        for c, mask in enumerate(parent_masks):
+            if mask & reach and not reach >> c & 1:
+                reach |= 1 << c
+                grown = True
+    return reach
 
 
 def is_acyclic(graph: Dag) -> bool:
-    """True iff a topological order of the vertices exists."""
-    return len(_kahn_order(graph)) == graph.m
-
-
-def topological_order(graph: Dag) -> list[int]:
-    order = _kahn_order(graph)
-    if len(order) != graph.m:
-        raise ValidationError("graph contains a cycle")
-    return order
-
-
-def _reaches(parents: Sequence[tuple[int, ...]], start: int, goal: int) -> bool:
-    # walks child links, i.e. follows edge direction start -> ... -> goal
-    children: dict[int, list[int]] = {}
-    for dst, ps in enumerate(parents):
-        for src in ps:
-            children.setdefault(src, []).append(dst)
-    stack = [start]
-    seen = {start}
-    while stack:
-        v = stack.pop()
-        if v == goal:
-            return True
-        for c in children.get(v, ()):
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return False
+    """True iff no vertex reaches one of its own parents."""
+    masks = [sum(1 << p for p in ps) for ps in graph.parents]
+    return not any(_reach(masks, v) & masks[v] for v in range(graph.m))
 
 
 def creates_cycle(graph: Dag, src: int, dst: int) -> bool:
-    """Would adding src->dst to an acyclic graph close a cycle?"""
-    return src == dst or _reaches(graph.parents, dst, src)
+    """Would adding src->dst to an acyclic graph close a cycle, i.e. does
+    dst reach src (src == dst included)?"""
+    masks = [sum(1 << p for p in ps) for ps in graph.parents]
+    return bool(_reach(masks, dst) >> src & 1)
 
 
 def enumerate_dags(m: int) -> Iterator[Dag]:
@@ -164,7 +139,7 @@ def enumerate_dags(m: int) -> Iterator[Dag]:
     if m > MAX_EXHAUSTIVE_VERTICES:
         raise ValidationError(
             f"exhaustive enumeration supports at most {MAX_EXHAUSTIVE_VERTICES} "
-            f"vertices, got {m}"
+            f"vertices, got {m}; use greedy search instead"
         )
     others = [tuple(u for u in range(m) if u != v) for v in range(m)]
     # candidate (parent set, its bit mask) per vertex, in a fixed order
@@ -180,14 +155,7 @@ def enumerate_dags(m: int) -> Iterator[Dag]:
     masks = [0] * m
 
     def rec(k: int) -> Iterator[Dag]:
-        reach = 1 << k  # along the in-edges of vertices 0..k-1
-        grown = True
-        while grown:
-            grown = False
-            for c in range(k):
-                if masks[c] & reach and not reach >> c & 1:
-                    reach |= 1 << c
-                    grown = True
+        reach = _reach(masks[:k], k)  # along the in-edges of vertices 0..k-1
         last = k == m - 1
         for ps, mask in choices[k]:
             if mask & reach:
@@ -255,6 +223,17 @@ def compare_graphs(inferred: Dag, truth: Dag) -> dict:
 
 _DOT_NODE = re.compile(r'^\s*"([^"]+)"\s*;\s*$')
 _DOT_EDGE = re.compile(r'^\s*"([^"]+)"\s*->\s*"([^"]+)"\s*;\s*$')
+
+
+def check_vertex_name(name: str):
+    """Reject a name that :func:`write_dot` cannot write for :func:`parse_dot`
+    to read back: an empty one, or one holding a quote, "//" (a comment) or
+    a line break."""
+    if not name or '"' in name or "//" in name or name.splitlines() != [name]:
+        raise ValidationError(
+            f"vertex name {name!r} cannot be written to DOT "
+            '(names must be non-empty, without ", // or line breaks)'
+        )
 
 
 def write_dot(graph: Dag, names: Sequence[str]) -> str:

@@ -112,7 +112,7 @@ class ScoreReport:
 
 
 class LocalScoreCache:
-    """Memo of local scores keyed by everything that affects the value.
+    """Memo of one scorer's local scores, keyed by (vertex, parents).
 
     Concurrent reads and inserts of distinct keys are safe; duplicated
     computation of the same key is permitted (values are deterministic, so
@@ -148,8 +148,7 @@ class Scorer:
     def __init__(self, view: EmbeddedView, score_kind: str,
                  estimator: EstimatorKind | None = None, *,
                  alpha: float = 0.95,
-                 surrogates: SurrogateConfig | None = None,
-                 cache: LocalScoreCache | None = None):
+                 surrogates: SurrogateConfig | None = None):
         if score_kind not in SCORE_KINDS:
             raise ValidationError(f"unknown score kind {score_kind!r}")
         if not view.covers_all():
@@ -166,8 +165,8 @@ class Scorer:
                 raise ValidationError("alpha must lie in (0, 1)")
         if score_kind in IC_KINDS and estimator.method != "discrete-plugin":
             raise ValidationError(
-                f"{score_kind} requires discretized data (parameter counts "
-                "need finite alphabets)"
+                f"{score_kind} requires the discrete-plugin estimator on "
+                "discretized data (parameter counts need finite alphabets)"
             )
         if score_kind == "tee":
             if surrogates is None:
@@ -178,17 +177,8 @@ class Scorer:
         self.estimator = estimator
         self.alpha = alpha if score_kind in ("tea", "tee") else None
         self.surrogates = surrogates if score_kind == "tee" else None
-        self.cache = cache if cache is not None else LocalScoreCache()
+        self.cache = LocalScoreCache()
         self._h_self: dict[int, float] = {}
-        self._params_token = (
-            view.uid,
-            score_kind,
-            estimator.token(),
-            self.alpha,
-            (surrogates.count, surrogates.method, surrogates.seed)
-            if self.surrogates is not None
-            else None,
-        )
 
     # -- pieces ----------------------------------------------------------
 
@@ -250,7 +240,7 @@ class Scorer:
         parents = tuple(sorted(int(p) for p in parents))
         if vertex in parents:
             raise ValidationError("vertex cannot be its own parent")
-        key = (vertex, parents, self._params_token)
+        key = (vertex, parents)
         cached = self.cache.get(key)
         if cached is not None:
             return cached
@@ -330,11 +320,6 @@ class Scorer:
             f_of_n=f_of_n,
             notes=notes,
         )
-
-
-def local_score(vertex: int, parents: Sequence[int], scorer: Scorer) -> float:
-    """Memoized per-vertex term of the scorer's configured score."""
-    return scorer.local(vertex, parents).local
 
 
 def score_te(graph: Dag, view: EmbeddedView, kind: EstimatorKind) -> ScoreReport:

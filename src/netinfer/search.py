@@ -23,19 +23,16 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import (
-    MAX_EXHAUSTIVE_VERTICES,
     Dag,
-    compare_graphs,
     creates_cycle,
     enumerate_dags,
-    is_acyclic,
     random_dag,
 )
 from .scores import ScoreReport, Scorer
 
 __all__ = [
     "SearchConfig", "SearchResult", "exhaustive_search", "greedy_hill_climb",
-    "enumerate_dags", "is_acyclic", "compare_graphs",
+    "enumerate_dags",
 ]
 
 _TIE_EPS = 1e-12
@@ -47,14 +44,13 @@ AUTO_MAX_PARENTS = "auto"
 
 @dataclass(frozen=True)
 class SearchConfig:
-    method: str = "greedy"
+    """Knobs of the greedy search; exhaustive search has none."""
+
     max_parents: object = AUTO_MAX_PARENTS
     restarts: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("greedy", "exhaustive"):
-            raise ValidationError(f"unknown search method {self.method!r}")
         if self.restarts < 0:
             raise ValidationError("restarts must be >= 0")
         if self.seed < 0:
@@ -79,10 +75,6 @@ class SearchResult:
     trace: Optional[list[tuple[str, float]]] = field(default=None)
 
 
-def _edge_key(graph: Dag):
-    return graph.edges()
-
-
 def _better(total: float, edges, best_total: float, best_edges) -> bool:
     if total > best_total + _TIE_EPS:
         return True
@@ -91,15 +83,9 @@ def _better(total: float, edges, best_total: float, best_edges) -> bool:
     return False
 
 
-def exhaustive_search(scorer: Scorer, cfg: SearchConfig | None = None) -> SearchResult:
+def exhaustive_search(scorer: Scorer) -> SearchResult:
     """Score every labelled DAG and return the maximum."""
     m = scorer.view.m_total
-    if m > MAX_EXHAUSTIVE_VERTICES:
-        raise ValidationError(
-            f"exhaustive search supports at most {MAX_EXHAUSTIVE_VERTICES} "
-            f"vertices, got {m}; use greedy search instead"
-        )
-    del cfg  # no knobs apply; signature kept symmetric with greedy
     best = None
     best_total = -np.inf
     best_edges = None
@@ -109,7 +95,7 @@ def exhaustive_search(scorer: Scorer, cfg: SearchConfig | None = None) -> Search
         visited += 1
         if best is not None and total < best_total - _TIE_EPS:
             continue  # below the tie window _better is False whatever the edges
-        edges = _edge_key(graph)
+        edges = graph.edges()
         if best is None or _better(total, edges, best_total, best_edges):
             best, best_total, best_edges = graph, total, edges
     return SearchResult(best=best, best_report=scorer.score(best),
@@ -183,7 +169,7 @@ def _climb(scorer: Scorer, start: Dag, max_parents: Optional[int]):
             visited += 1
             if delta <= 0.0:
                 continue
-            edges = _edge_key(_apply(graph, move))
+            edges = _apply(graph, move).edges()
             if best_move is None or _better(delta, edges, best_delta, best_edges):
                 best_move, best_delta, best_edges = move, delta, edges
         if best_move is None:
@@ -218,7 +204,7 @@ def greedy_hill_climb(scorer: Scorer, cfg: SearchConfig | None = None) -> Search
     for start in starts:
         graph, total, trace, seen = _climb(scorer, start, max_parents)
         visited += seen
-        edges = _edge_key(graph)
+        edges = graph.edges()
         if best is None or _better(total, edges, best_total, best_edges):
             best, best_total, best_edges, best_trace = graph, total, edges, trace
     return SearchResult(best=best, best_report=scorer.score(best),

@@ -26,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .graph import Dag, is_acyclic
+from .graph import Dag, check_vertex_name, is_acyclic
 from .timeseries import TimeSeriesSet
 
 DEFAULT_BURN_IN = 1000
@@ -43,17 +43,61 @@ class CoupledLogisticModel:
         if self.r <= 0:
             raise ValidationError("r must be positive")
 
+    def start(self, cfg: GdsConfig, rng):
+        """Initial state (drawn uniformly unless given), noise-free map and
+        the fold that reflects noise excursions back into [0, 1]."""
+        m = cfg.graph.m
+        if cfg.initial_states is not None:
+            x = np.asarray(cfg.initial_states, dtype=float)
+            if np.any(x < 0.0) or np.any(x > 1.0):
+                raise ValidationError("initial_states must lie in [0, 1]")
+        else:
+            x = rng.uniform(0.0, 1.0, size=m)
+        parents = [np.asarray(ps, dtype=int) for ps in cfg.graph.parents]
+        eps = self.epsilon
+
+        def step(x: np.ndarray) -> np.ndarray:
+            g = self.r * x * (1.0 - x)
+            new = np.empty(m, dtype=float)
+            for i in range(m):
+                ps = parents[i]
+                if ps.size:
+                    new[i] = (1.0 - eps) * g[i] + (eps / ps.size) * g[ps].sum()
+                else:
+                    new[i] = g[i]
+            return new
+
+        return x, step, _reflect_unit
+
 
 @dataclass(frozen=True)
 class LinearGaussianModel:
     coupling: tuple[tuple[float, ...], ...]  # coupling[i][j]: weight of j -> i
     self_weight: float = 0.9
 
-    def matrix(self, m: int) -> np.ndarray:
+    def start(self, cfg: GdsConfig, rng):
+        """Initial state (zero unless given), noise-free map x -> A x and no
+        fold; rejects couplings off the graph and nonstationary systems."""
+        m = cfg.graph.m
         w = np.asarray(self.coupling, dtype=float)
         if w.shape != (m, m):
             raise ValidationError(f"coupling must be {m}x{m}, got {w.shape}")
-        return self.self_weight * np.eye(m) + w
+        for i in range(m):
+            for j in range(m):
+                if w[i, j] != 0.0 and not cfg.graph.has_edge(j, i):
+                    raise ValidationError(
+                        f"coupling[{i}][{j}] is nonzero but the graph has no "
+                        f"edge {j} -> {i}"
+                    )
+        a = self.self_weight * np.eye(m) + w
+        radius = float(np.max(np.abs(np.linalg.eigvals(a))))
+        if radius >= 1.0:
+            raise ValidationError(
+                f"nonstationary system: spectral radius {radius:.4f} >= 1"
+            )
+        x = (np.asarray(cfg.initial_states, dtype=float)
+             if cfg.initial_states is not None else np.zeros(m))
+        return x, lambda x: a @ x, lambda x: x
 
 
 @dataclass(frozen=True)
@@ -85,6 +129,8 @@ class GdsConfig:
             raise ValidationError("ground-truth graph must be acyclic")
         if self.names is not None and len(self.names) != self.graph.m:
             raise ValidationError("names length does not match vertex count")
+        for name in self.names or ():
+            check_vertex_name(name)
         if (self.initial_states is not None
                 and len(self.initial_states) != self.graph.m):
             raise ValidationError("initial_states length does not match vertex count")
@@ -115,91 +161,25 @@ def _reflect_unit(x: np.ndarray) -> np.ndarray:
     raise NumericError("state reflection did not converge (noise too large?)")
 
 
-def simulate_coupled_logistic(cfg: GdsConfig) -> SimOutput:
-    """Iterate the coupled logistic map and observe it through noise."""
-    if not isinstance(cfg.model, CoupledLogisticModel):
-        raise ValidationError("config model is not coupled-logistic")
-    m = cfg.graph.m
-    model = cfg.model
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.initial_states is not None:
-        x = np.asarray(cfg.initial_states, dtype=float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise ValidationError("initial_states must lie in [0, 1]")
-    else:
-        x = rng.uniform(0.0, 1.0, size=m)
-    parents = [np.asarray(ps, dtype=int) for ps in cfg.graph.parents]
-
-    total = cfg.burn_in + cfg.n
-    states = np.empty((total, m), dtype=float)
-    observations = np.empty((total, m), dtype=float)
-    eps = model.epsilon
-    for step in range(total):
-        g = model.r * x * (1.0 - x)
-        new = np.empty(m, dtype=float)
-        for i in range(m):
-            ps = parents[i]
-            if ps.size:
-                new[i] = (1.0 - eps) * g[i] + (eps / ps.size) * g[ps].sum()
-            else:
-                new[i] = g[i]
-        new = new + rng.normal(0.0, cfg.process_noise_std, size=m)
-        if not np.all(np.isfinite(new)):
-            raise NumericError(f"non-finite state at step {step}")
-        x = _reflect_unit(new)
-        states[step] = x
-        observations[step] = x + rng.normal(0.0, cfg.obs_noise_std, size=m)
-
-    keep_states = states[cfg.burn_in:].T.copy()
-    keep_obs = observations[cfg.burn_in:].T.copy()
-    ts = TimeSeriesSet(keep_obs, cfg.resolved_names())
-    return SimOutput(observations=ts, states=keep_states,
-                     truth=cfg.graph, config_echo=cfg)
-
-
-def simulate_linear_gaussian(cfg: GdsConfig) -> SimOutput:
-    """Iterate the linear-Gaussian network from a zero initial state."""
-    if not isinstance(cfg.model, LinearGaussianModel):
-        raise ValidationError("config model is not linear-gaussian")
-    m = cfg.graph.m
-    a = cfg.model.matrix(m)
-    w = np.asarray(cfg.model.coupling, dtype=float)
-    for i in range(m):
-        for j in range(m):
-            if w[i, j] != 0.0 and not cfg.graph.has_edge(j, i):
-                raise ValidationError(
-                    f"coupling[{i}][{j}] is nonzero but the graph has no "
-                    f"edge {j} -> {i}"
-                )
-    radius = float(np.max(np.abs(np.linalg.eigvals(a))))
-    if radius >= 1.0:
-        raise ValidationError(
-            f"nonstationary system: spectral radius {radius:.4f} >= 1"
-        )
-    rng = np.random.default_rng(cfg.seed)
-    x = (np.asarray(cfg.initial_states, dtype=float)
-         if cfg.initial_states is not None else np.zeros(m))
-
-    total = cfg.burn_in + cfg.n
-    states = np.empty((total, m), dtype=float)
-    observations = np.empty((total, m), dtype=float)
-    for step in range(total):
-        x = a @ x + rng.normal(0.0, cfg.process_noise_std, size=m)
-        if not np.all(np.isfinite(x)):
-            raise NumericError(f"non-finite state at step {step}")
-        states[step] = x
-        observations[step] = x + rng.normal(0.0, cfg.obs_noise_std, size=m)
-
-    keep_states = states[cfg.burn_in:].T.copy()
-    keep_obs = observations[cfg.burn_in:].T.copy()
-    ts = TimeSeriesSet(keep_obs, cfg.resolved_names())
-    return SimOutput(observations=ts, states=keep_states,
-                     truth=cfg.graph, config_echo=cfg)
-
-
 def simulate(cfg: GdsConfig) -> SimOutput:
-    """Dispatch on the configured model type."""
-    if isinstance(cfg.model, CoupledLogisticModel):
-        return simulate_coupled_logistic(cfg)
-    return simulate_linear_gaussian(cfg)
+    """Iterate the configured model and observe it through noise."""
+    m = cfg.graph.m
+    rng = np.random.default_rng(cfg.seed)
+    x, step, fold = cfg.model.start(cfg, rng)
 
+    total = cfg.burn_in + cfg.n
+    states = np.empty((total, m), dtype=float)
+    observations = np.empty((total, m), dtype=float)
+    for t in range(total):
+        x = step(x) + rng.normal(0.0, cfg.process_noise_std, size=m)
+        if not np.all(np.isfinite(x)):
+            raise NumericError(f"non-finite state at step {t}")
+        x = fold(x)
+        states[t] = x
+        observations[t] = x + rng.normal(0.0, cfg.obs_noise_std, size=m)
+
+    keep_states = states[cfg.burn_in:].T.copy()
+    keep_obs = observations[cfg.burn_in:].T.copy()
+    ts = TimeSeriesSet(keep_obs, cfg.resolved_names())
+    return SimOutput(observations=ts, states=keep_states,
+                     truth=cfg.graph, config_echo=cfg)

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DataFormatError, ValidationError
-
-_view_ids = itertools.count()
+from .graph import check_vertex_name
 
 
 @dataclass(frozen=True)
@@ -48,6 +46,8 @@ class TimeSeriesSet:
             raise ValidationError("names length does not match subsystem count")
         if len(set(self.names)) != m:
             raise ValidationError("subsystem names must be unique")
+        for name in self.names:
+            check_vertex_name(name)
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "series", arr)
@@ -170,12 +170,10 @@ class EmbeddedView:
     alphabet_sizes: tuple[int, ...] | None = None
     _index: dict = field(default_factory=dict, repr=False, compare=False)
     _ids: dict = field(default_factory=dict, repr=False, compare=False)
-    uid: int = field(default=-1, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index",
                            {s: pos for pos, s in enumerate(self.subsystems)})
-        object.__setattr__(self, "uid", next(_view_ids))  # cache identity
         self.targets.flags.writeable = False
         for h in self.histories:
             h.flags.writeable = False

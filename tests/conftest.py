@@ -206,6 +206,104 @@ def reference_exhaustive_search(scorer, tie_eps):
     return best, visited
 
 
+# The references for the cycle checks are the walks they replaced: Kahn's
+# algorithm (smallest ready vertex first, then FIFO), whose order misses every
+# vertex on or downstream of a cycle, and a depth-first walk along child links.
+
+def reference_kahn_order(graph):
+    indeg = [len(ps) for ps in graph.parents]
+    children = [[] for _ in range(graph.m)]
+    for dst, ps in enumerate(graph.parents):
+        for src in ps:
+            children[src].append(dst)
+    order = [v for v in range(graph.m) if indeg[v] == 0]
+    for v in order:  # the list grows while it is walked: a FIFO queue
+        for c in children[v]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                order.append(c)
+    return order
+
+
+def reference_reaches(parents, start, goal):
+    """Is goal reachable from start along edge direction?"""
+    children = {}
+    for dst, ps in enumerate(parents):
+        for src in ps:
+            children.setdefault(src, []).append(dst)
+    stack = [start]
+    seen = {start}
+    while stack:
+        v = stack.pop()
+        if v == goal:
+            return True
+        for c in children.get(v, ()):
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return False
+
+
+# The references for the simulator are the two per-model loops it replaced,
+# with the same random draws in the same order; each returns (observations,
+# states) as (M, n) arrays.
+
+def _reference_reflect_unit(x):
+    for _ in range(64):
+        out_low = x < 0.0
+        out_high = x > 1.0
+        if not (out_low.any() or out_high.any()):
+            return x
+        x = np.where(out_low, -x, x)
+        x = np.where(out_high, 2.0 - x, x)
+    raise AssertionError("reflection did not converge")
+
+
+def reference_simulate_coupled_logistic(cfg):
+    m = cfg.graph.m
+    model = cfg.model
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.initial_states is not None:
+        x = np.asarray(cfg.initial_states, dtype=float)
+    else:
+        x = rng.uniform(0.0, 1.0, size=m)
+    parents = [np.asarray(ps, dtype=int) for ps in cfg.graph.parents]
+    total = cfg.burn_in + cfg.n
+    states = np.empty((total, m), dtype=float)
+    observations = np.empty((total, m), dtype=float)
+    eps = model.epsilon
+    for step in range(total):
+        g = model.r * x * (1.0 - x)
+        new = np.empty(m, dtype=float)
+        for i in range(m):
+            ps = parents[i]
+            if ps.size:
+                new[i] = (1.0 - eps) * g[i] + (eps / ps.size) * g[ps].sum()
+            else:
+                new[i] = g[i]
+        new = new + rng.normal(0.0, cfg.process_noise_std, size=m)
+        x = _reference_reflect_unit(new)
+        states[step] = x
+        observations[step] = x + rng.normal(0.0, cfg.obs_noise_std, size=m)
+    return observations[cfg.burn_in:].T, states[cfg.burn_in:].T
+
+
+def reference_simulate_linear_gaussian(cfg):
+    m = cfg.graph.m
+    a = cfg.model.self_weight * np.eye(m) + np.asarray(cfg.model.coupling, dtype=float)
+    rng = np.random.default_rng(cfg.seed)
+    x = (np.asarray(cfg.initial_states, dtype=float)
+         if cfg.initial_states is not None else np.zeros(m))
+    total = cfg.burn_in + cfg.n
+    states = np.empty((total, m), dtype=float)
+    observations = np.empty((total, m), dtype=float)
+    for step in range(total):
+        x = a @ x + rng.normal(0.0, cfg.process_noise_std, size=m)
+        states[step] = x
+        observations[step] = x + rng.normal(0.0, cfg.obs_noise_std, size=m)
+    return observations[cfg.burn_in:].T, states[cfg.burn_in:].T
+
+
 def chi2_cdf_quadrature(df: int, x: float, panels: int = 4096) -> float:
     """CDF of chi-squared(df) by Simpson quadrature after the substitution
     u = sqrt(t), which removes the integrable singularity at zero."""
@@ -296,7 +394,7 @@ def simulate_chain(m: int, seed: int, n: int = 10000, epsilon: float = 0.4,
         burn_in=1000,
         seed=seed,
     )
-    return ni.simulate_coupled_logistic(cfg)
+    return ni.simulate(cfg)
 
 
 def random_discrete_view(m: int, n: int, symbols: int, seed: int,

@@ -208,7 +208,7 @@ def test_criterion_7_gaussian_analytic():
                                    self_weight=0.9)
     cfg = ni.GdsConfig(graph=g, model=model, process_noise_std=1.0,
                        obs_noise_std=0.0, n=50_000, burn_in=1000, seed=7)
-    out = ni.simulate_linear_gaussian(cfg)
+    out = ni.simulate(cfg)
     view = ni.delay_embed(out.observations, ni.EmbeddingSpec.uniform(2, 1, 1))
     te = ni.collective_transfer_entropy(1, [0], view,
                                         ni.EstimatorKind.linear_gaussian())

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -369,6 +370,30 @@ def test_deeply_nested_config_exits_1_with_one_line(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ['a"b', "a//b", "a\nb"])
+@pytest.mark.parametrize("command", ["infer", "simulate"])
+def test_dot_unsafe_name_exits_1_with_one_line(tmp_path, capsys, command, name):
+    if command == "infer":
+        data = tmp_path / "data.csv"
+        with open(data, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)  # quotes the line break and the quote
+            writer.writerow([name, "V2"])
+            writer.writerows(np.random.default_rng(3).random((50, 2)).tolist())
+        argv = ["infer", "--data", str(data), "--score", "tea", "--bins", "2"]
+    else:
+        doc = json.loads(_chain_config(tmp_path).read_text(encoding="utf-8"))
+        doc["names"][0] = name
+        doc["edges"][0][0] = name
+        config = tmp_path / "named.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["simulate", "--config", str(config)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert repr(name) in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def _assert_clean_exit(argv):

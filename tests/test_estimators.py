@@ -364,7 +364,7 @@ def test_gaussian_te_closed_form_iid_source():
                                    self_weight=0.0)
     cfg = ni.GdsConfig(graph=g, model=model, process_noise_std=1.0,
                        obs_noise_std=0.0, n=50000, burn_in=100, seed=21)
-    out = ni.simulate_linear_gaussian(cfg)
+    out = ni.simulate(cfg)
     view = ni.delay_embed(out.observations, ni.EmbeddingSpec.uniform(2, 1, 1))
     te = ni.collective_transfer_entropy(1, [0], view, GAUSSIAN)
     expected = 0.5 * math.log2(1.0 + a * a)
@@ -377,7 +377,7 @@ def test_gaussian_te_matches_lyapunov_oracle():
                                    self_weight=0.9)
     cfg = ni.GdsConfig(graph=g, model=model, process_noise_std=1.0,
                        obs_noise_std=0.0, n=50000, burn_in=1000, seed=22)
-    out = ni.simulate_linear_gaussian(cfg)
+    out = ni.simulate(cfg)
     view = ni.delay_embed(out.observations, ni.EmbeddingSpec.uniform(2, 1, 1))
     te = ni.collective_transfer_entropy(1, [0], view, GAUSSIAN)
 

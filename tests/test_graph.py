@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netinfer as ni
 from netinfer.errors import DataFormatError, ValidationError
-from netinfer.graph import creates_cycle, random_dag, topological_order
+from netinfer.graph import creates_cycle, random_dag
 
-from conftest import labelled_dag_count, reference_enumerate_dags
+from conftest import (
+    labelled_dag_count,
+    reference_enumerate_dags,
+    reference_kahn_order,
+    reference_reaches,
+)
 
 
 def test_empty_graph_is_acyclic():
@@ -20,7 +27,6 @@ def test_two_cycle_is_not_acyclic():
 def test_chain_is_acyclic():
     g = ni.Dag.from_edges(3, [(0, 1), (1, 2)])
     assert ni.is_acyclic(g)
-    assert topological_order(g) == [0, 1, 2]
 
 
 def test_self_loop_rejected_at_construction():
@@ -65,35 +71,22 @@ def test_enumerate_matches_reference_order(m):
         assert g == validated and hash(g) == hash(validated)
 
 
-def _reference_topological_order(graph):
-    indeg = [len(ps) for ps in graph.parents]
-    queue = sorted(v for v in range(graph.m) if indeg[v] == 0)
-    order = []
-    while queue:
-        v = queue.pop(0)
-        order.append(v)
-        for c in range(graph.m):
-            if v in graph.parents[c]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-    return order
-
-
-def test_topological_order_and_acyclicity_match_reference():
+def test_cycle_checks_match_reference_walks():
     rng = np.random.default_rng(6)
+    cyclic = 0
     for _ in range(200):
         m = int(rng.integers(1, 7))
         parents = [tuple(int(u) for u in range(m) if u != v and rng.random() < 0.3)
                    for v in range(m)]
         g = ni.Dag(m, tuple(parents))
-        ref = _reference_topological_order(g)
-        assert ni.is_acyclic(g) == (len(ref) == m)
-        if len(ref) == m:
-            assert topological_order(g) == ref
-        else:
-            with pytest.raises(ValidationError, match="cycle"):
-                topological_order(g)
+        acyclic = len(reference_kahn_order(g)) == m
+        cyclic += not acyclic
+        assert ni.is_acyclic(g) == acyclic
+        for src in range(m):
+            for dst in range(m):
+                assert creates_cycle(g, src, dst) == (
+                    src == dst or reference_reaches(g.parents, dst, src))
+    assert cyclic > 20
 
 
 def test_enumerate_rejects_large_m():
@@ -176,3 +169,22 @@ def test_dot_name_remap_mismatch():
 def test_dot_rejects_garbage():
     with pytest.raises(DataFormatError, match="line 2"):
         ni.parse_dot('digraph G {\nnot a line\n}')
+
+
+@pytest.mark.parametrize("name", ['a"b', "a//b", "a\nb", "a\rb", "a\u2028b", ""])
+def test_dot_unsafe_names_rejected(name):
+    with pytest.raises(ValidationError, match="cannot be written to DOT"):
+        ni.TimeSeriesSet(np.zeros((2, 3)), (name, "ok"))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.text(st.one_of(st.characters(), st.sampled_from('"/\n\r ;->{}')),
+                        min_size=1, max_size=6),
+                min_size=1, max_size=4, unique=True))
+def test_dot_round_trips_accepted_names(names):
+    try:
+        ni.TimeSeriesSet(np.zeros((len(names), 2)), tuple(names))
+    except ValidationError:
+        return
+    text = ni.write_dot(ni.Dag.empty(len(names)), names)
+    assert ni.parse_dot(text) == (list(names), [])

@@ -126,7 +126,7 @@ def test_tea_gaussian_pair_near_acceptance_boundary():
                                    self_weight=0.0)
     cfg = ni.GdsConfig(graph=g, model=model, process_noise_std=1.0,
                        obs_noise_std=0.0, n=1000, burn_in=100, seed=7)
-    out = ni.simulate_linear_gaussian(cfg)
+    out = ni.simulate(cfg)
     view = ni.delay_embed(out.observations, ni.EmbeddingSpec.uniform(2, 1, 1))
     sc = ni.Scorer(view, "tea", ni.EstimatorKind.linear_gaussian(), alpha=0.9)
     ls = sc.local(1, (0,))
@@ -238,17 +238,6 @@ def test_cache_hit_skips_recomputation():
     assert second == first
     assert sc.cache.misses == misses
     assert sc.cache.hits >= 1
-
-
-def test_cache_key_includes_alpha():
-    view = random_discrete_view(2, 900, 2, seed=12)
-    cache = ni.LocalScoreCache()
-    a = ni.Scorer(view, "tea", DISCRETE, alpha=0.9, cache=cache)
-    b = ni.Scorer(view, "tea", DISCRETE, alpha=0.99, cache=cache)
-    la = a.local(1, (0,))
-    lb = b.local(1, (0,))
-    assert la.penalty < lb.penalty
-    assert len(cache) == 2
 
 
 def test_cache_safe_under_concurrent_use():

@@ -44,8 +44,6 @@ def _periodic_view():
 
 def test_search_config_validation():
     with pytest.raises(ValidationError):
-        SearchConfig(method="annealing")
-    with pytest.raises(ValidationError):
         SearchConfig(restarts=-1)
     assert SearchConfig().resolved_max_parents("te") == 3
     assert SearchConfig().resolved_max_parents("tee") is None

@@ -6,7 +6,11 @@ import pytest
 import netinfer as ni
 from netinfer.errors import ValidationError
 
-from conftest import chain_dag
+from conftest import (
+    chain_dag,
+    reference_simulate_coupled_logistic,
+    reference_simulate_linear_gaussian,
+)
 
 DISCRETE = ni.EstimatorKind.discrete_plugin()
 
@@ -17,7 +21,7 @@ def test_logistic_orbit_exact():
         model=ni.CoupledLogisticModel(r=4.0, epsilon=0.5),
         n=4, burn_in=0, seed=0, initial_states=(0.5,),
     )
-    out = ni.simulate_coupled_logistic(cfg)
+    out = ni.simulate(cfg)
     assert out.states[0].tolist() == [1.0, 0.0, 0.0, 0.0]
     assert np.array_equal(out.observations.series, out.states)
 
@@ -35,8 +39,8 @@ def test_simulation_determinism_bit_identical():
         process_noise_std=1e-3, obs_noise_std=1e-3,
         n=500, burn_in=100, seed=42,
     )
-    a = ni.simulate_coupled_logistic(cfg)
-    b = ni.simulate_coupled_logistic(cfg)
+    a = ni.simulate(cfg)
+    b = ni.simulate(cfg)
     assert np.array_equal(a.observations.series, b.observations.series)
     assert np.array_equal(a.states, b.states)
     assert a.truth.parents == b.truth.parents
@@ -48,7 +52,7 @@ def test_noiseless_matches_scalar_logistic_oracle():
         model=ni.CoupledLogisticModel(r=3.7, epsilon=0.3),
         n=50, burn_in=0, seed=5,
     )
-    out = ni.simulate_coupled_logistic(cfg)
+    out = ni.simulate(cfg)
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 1.0, size=2)
     for i in range(2):
@@ -65,7 +69,7 @@ def test_states_stay_in_unit_interval_under_noise():
         process_noise_std=0.05, obs_noise_std=0.0,
         n=2000, burn_in=0, seed=6,
     )
-    out = ni.simulate_coupled_logistic(cfg)
+    out = ni.simulate(cfg)
     assert out.states.min() >= 0.0
     assert out.states.max() <= 1.0
 
@@ -76,7 +80,7 @@ def test_observation_shape_and_truth_echo():
         model=ni.CoupledLogisticModel(),
         n=123, burn_in=7, seed=1,
     )
-    out = ni.simulate_coupled_logistic(cfg)
+    out = ni.simulate(cfg)
     assert out.observations.n == 123
     assert out.observations.m == 3
     assert out.truth.parents == cfg.graph.parents
@@ -92,7 +96,7 @@ def test_te_directionality_along_true_edges():
             process_noise_std=1e-3, obs_noise_std=1e-3,
             n=2000, burn_in=500, seed=1000 + trial,
         )
-        out = ni.simulate_coupled_logistic(cfg)
+        out = ni.simulate(cfg)
         disc = ni.discretize(out.observations, 4)
         view = ni.delay_embed(disc, ni.EmbeddingSpec.uniform(2, 1, 1))
         fwd = ni.collective_transfer_entropy(1, [0], view, DISCRETE)
@@ -112,7 +116,7 @@ def test_linear_white_noise_is_uncorrelated():
         process_noise_std=1.0, obs_noise_std=0.0,
         n=10000, burn_in=10, seed=2,
     )
-    out = ni.simulate_linear_gaussian(cfg)
+    out = ni.simulate(cfg)
     for i in range(2):
         x = out.observations.series[i]
         ac1 = np.corrcoef(x[:-1], x[1:])[0, 1]
@@ -126,7 +130,7 @@ def test_linear_nonstationary_rejected():
         process_noise_std=1.0, n=100, seed=0,
     )
     with pytest.raises(ValidationError, match="nonstationary"):
-        ni.simulate_linear_gaussian(cfg)
+        ni.simulate(cfg)
 
 
 def test_linear_coupling_must_match_graph():
@@ -137,7 +141,7 @@ def test_linear_coupling_must_match_graph():
         process_noise_std=1.0, n=100, seed=0,
     )
     with pytest.raises(ValidationError, match="no .*edge"):
-        ni.simulate_linear_gaussian(cfg)
+        ni.simulate(cfg)
 
 
 def test_correlation_0_05_pair():
@@ -150,8 +154,35 @@ def test_correlation_0_05_pair():
         process_noise_std=1.0, obs_noise_std=0.0,
         n=10000, burn_in=100, seed=3,
     )
-    out = ni.simulate_linear_gaussian(cfg)
+    out = ni.simulate(cfg)
     x1 = out.observations.series[0]
     x2 = out.observations.series[1]
     lagged = np.corrcoef(x1[:-1], x2[1:])[0, 1]
     assert lagged == pytest.approx(rho, abs=0.02)
+
+
+# ---------------------------------------------------------------------------
+# the one simulation loop against the per-model loops it replaced
+
+_CHAIN3_COUPLING = ((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.0, -0.4, 0.0))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.02])
+@pytest.mark.parametrize("initial_states", [None, (0.1, 0.5, 0.9)])
+@pytest.mark.parametrize("model,reference", [
+    (ni.CoupledLogisticModel(r=3.9, epsilon=0.4),
+     reference_simulate_coupled_logistic),
+    (ni.LinearGaussianModel(coupling=_CHAIN3_COUPLING, self_weight=0.6),
+     reference_simulate_linear_gaussian),
+])
+def test_simulate_matches_reference_loop(model, reference, initial_states, noise):
+    for burn_in in (0, 10):
+        cfg = ni.GdsConfig(
+            graph=chain_dag(3), model=model,
+            process_noise_std=noise, obs_noise_std=noise / 2,
+            n=300, burn_in=burn_in, seed=23, initial_states=initial_states,
+        )
+        out = ni.simulate(cfg)
+        ref_obs, ref_states = reference(cfg)
+        assert np.array_equal(out.observations.series, ref_obs)
+        assert np.array_equal(out.states, ref_states)
