@@ -15,7 +15,6 @@ from .errors import (
     ValidationError,
 )
 from .estimators import (
-    EntropyResult,
     EstimatorKind,
     collective_transfer_entropy,
     conditional_entropy,
@@ -33,15 +32,7 @@ from .graph import (
     parse_dot,
     write_dot,
 )
-from .scores import (
-    LocalScoreCache,
-    ScoreReport,
-    Scorer,
-    score_ic,
-    score_te,
-    score_tea,
-    score_tee,
-)
+from .scores import ScoreReport, Scorer
 from .search import (
     SearchConfig,
     SearchResult,
@@ -82,7 +73,7 @@ __all__ = [
     "TimeSeriesSet", "DiscretizedSeries", "EmbeddingSpec", "EmbeddedView",
     "load_csv", "write_csv", "discretize", "delay_embed",
     # estimators
-    "EstimatorKind", "EntropyResult", "conditional_entropy",
+    "EstimatorKind", "conditional_entropy",
     "collective_transfer_entropy", "stochastic_interaction", "kl_divergence",
     "next_value", "history",
     # significance
@@ -91,8 +82,7 @@ __all__ = [
     # graphs and scores
     "Dag", "is_acyclic", "enumerate_dags", "compare_graphs",
     "write_dot", "parse_dot", "dag_from_dot",
-    "Scorer", "ScoreReport", "LocalScoreCache",
-    "score_te", "score_tea", "score_tee", "score_ic",
+    "Scorer", "ScoreReport",
     # search
     "SearchConfig", "SearchResult", "exhaustive_search", "greedy_hill_climb",
     # simulation

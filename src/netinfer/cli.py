@@ -351,11 +351,16 @@ def cmd_infer(args, argv) -> int:
     manifest.add_input(args.data)
     manifest.add_seed("score", args.seed)
     manifest.add_seed("search", args.seed)
+    if args.search == "exhaustive" and args.max_parents is not None:
+        raise ValidationError("--max-parents applies to greedy search only; "
+                              "exhaustive search scores every DAG")
     ts = load_csv(args.data)
     if args.score in ("te", "ml") and args.max_parents is None:
+        advice = ("use tea/tee" if args.search == "exhaustive"
+                  else "set --max-parents or use tea/tee")
         print(
             f"warning: --score {args.score} is non-decreasing in parents; "
-            "expect a complete graph (set --max-parents or use tea/tee)",
+            f"expect a complete graph ({advice})",
             file=sys.stderr,
         )
     scorer = _build_scorer(args, ts)
@@ -434,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--search", choices=["exhaustive", "greedy"],
                        default="greedy")
     infer.add_argument("--restarts", type=int, default=0)
-    infer.add_argument("--max-parents", type=int, default=None)
+    infer.add_argument("--max-parents", type=int, default=None,
+                       help="parent cap (greedy search only)")
     _add_scoring_flags(infer)
 
     ev = subs.add_parser("eval", help="compare an inferred graph to the truth")

@@ -16,9 +16,9 @@ Three interchangeable density models back every measure here:
   pairs, found block by block over rows sorted by W's first coordinate,
   so memory stays bounded whatever the width.
 
-All values are in bits. Everything is a pure function over immutable
-views, so distinct (destination, sources) pairs can be evaluated
-concurrently.
+All values are in bits. A view memoises its dense row ids without a
+lock, so a view, and the ``Scorer`` that holds it, serves one thread; the
+surrogate pool only reorders and counts arrays prepared before it starts.
 """
 
 from __future__ import annotations
@@ -62,13 +62,6 @@ class EstimatorKind:
     @classmethod
     def box_kernel(cls, width: float) -> "EstimatorKind":
         return cls("box-kernel", float(width))
-
-
-@dataclass(frozen=True)
-class EntropyResult:
-    value: float        # bits
-    n_effective: int
-    kind: EstimatorKind
 
 
 @dataclass(frozen=True)
@@ -270,8 +263,8 @@ def _check_kind(view: EmbeddedView, kind: EstimatorKind):
 # public measures
 
 def conditional_entropy(target, conditioners, view: EmbeddedView,
-                        kind: EstimatorKind) -> EntropyResult:
-    """H(target | conditioners) over the aligned rows of a view.
+                        kind: EstimatorKind) -> float:
+    """H(target | conditioners) in bits over the aligned rows of a view.
 
     ``target`` and ``conditioners`` are selections built with
     :func:`next_value` and :func:`history`; the target may itself be a list
@@ -283,11 +276,9 @@ def conditional_entropy(target, conditioners, view: EmbeddedView,
     if not target:
         raise ValidationError("target selection is empty")
     if kind.method == "discrete-plugin":
-        value = _discrete_from_view(view, target, conditioners)
-    else:
-        value = _real_cond_entropy(kind, _resolve(view, target),
-                                   _resolve(view, conditioners))
-    return EntropyResult(value=value, n_effective=view.rows, kind=kind)
+        return _discrete_from_view(view, target, conditioners)
+    return _real_cond_entropy(kind, _resolve(view, target),
+                              _resolve(view, conditioners))
 
 
 def collective_transfer_entropy(dest: int, sources, view: EmbeddedView,
@@ -305,7 +296,7 @@ def collective_transfer_entropy(dest: int, sources, view: EmbeddedView,
     h_self = conditional_entropy(next_value(dest), [history(dest)], view, kind)
     conds = [history(dest)] + [history(s) for s in sources]
     h_full = conditional_entropy(next_value(dest), conds, view, kind)
-    return h_self.value - h_full.value
+    return h_self - h_full
 
 
 def resampled_source_entropy(dest: int, sources, view: EmbeddedView,
@@ -317,8 +308,7 @@ def resampled_source_entropy(dest: int, sources, view: EmbeddedView,
     does not touch is prepared once, so a surrogate population pays only
     for the reordering and counting.
     """
-    h_self = conditional_entropy(next_value(dest), [history(dest)],
-                                 view, kind).value
+    h_self = conditional_entropy(next_value(dest), [history(dest)], view, kind)
     if kind.method == "discrete-plugin":
         wd, n_wd = view.symbol_ids("history", dest)
         z, n_z = view.symbol_ids("next", dest)
@@ -343,14 +333,12 @@ def resampled_source_entropy(dest: int, sources, view: EmbeddedView,
 def stochastic_interaction(view: EmbeddedView, kind: EstimatorKind) -> float:
     """Excess of summed per-subsystem next-step uncertainty over the joint
     next-step uncertainty, each conditioned on embedded pasts (bits)."""
-    if not view.covers_all():
-        raise ValidationError("stochastic interaction needs a view of all subsystems")
-    subs = view.subsystems
+    subs = range(view.m_total)
     joint_target = [next_value(s) for s in subs]
     all_hists = [history(s) for s in subs]
-    h_joint = conditional_entropy(joint_target, all_hists, view, kind).value
+    h_joint = conditional_entropy(joint_target, all_hists, view, kind)
     h_each = sum(
-        conditional_entropy(next_value(s), [history(s)], view, kind).value
+        conditional_entropy(next_value(s), [history(s)], view, kind)
         for s in subs
     )
     return h_each - h_joint

@@ -228,11 +228,16 @@ _DOT_EDGE = re.compile(r'^\s*"([^"]+)"\s*->\s*"([^"]+)"\s*;\s*$')
 def check_vertex_name(name: str):
     """Reject a name that :func:`write_dot` cannot write for :func:`parse_dot`
     to read back: an empty one, or one holding a quote, "//" (a comment) or
-    a line break."""
-    if not name or '"' in name or "//" in name or name.splitlines() != [name]:
+    a line break. Also reject leading or trailing whitespace, which
+    :func:`~netinfer.timeseries.load_csv` strips from CSV headers, and lone
+    surrogates, which no UTF-8 file can hold."""
+    if (not name or '"' in name or "//" in name or name.splitlines() != [name]
+            or name != name.strip()
+            or any("\ud800" <= c <= "\udfff" for c in name)):
         raise ValidationError(
-            f"vertex name {name!r} cannot be written to DOT "
-            '(names must be non-empty, without ", // or line breaks)'
+            f"vertex name {name!r} cannot be written to DOT and CSV and read back "
+            '(names must be non-empty UTF-8 text, without ", //, line breaks '
+            "or leading or trailing whitespace)"
         )
 
 

@@ -3,7 +3,9 @@
 Every score is a sum over vertices of a local term that depends only on
 the vertex and its parent set, which is what makes incremental search
 cheap. A ``Scorer`` bundles one dataset view with one score configuration
-and memoizes local terms in a ``LocalScoreCache``.
+and memoizes local terms without a lock, so it serves one thread: the
+search thread. The surrogate pool runs inside a single local score and
+never touches the memo.
 
 Score kinds
 -----------
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -112,38 +113,29 @@ class ScoreReport:
 
 
 class LocalScoreCache:
-    """Memo of one scorer's local scores, keyed by (vertex, parents).
-
-    Concurrent reads and inserts of distinct keys are safe; duplicated
-    computation of the same key is permitted (values are deterministic, so
-    last write wins with an identical value).
-    """
+    """Memo of one scorer's local scores, keyed by (vertex, parents), with
+    hit and miss counts. It has no lock: a ``Scorer`` serves one thread."""
 
     def __init__(self):
         self._store: dict = {}
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def get(self, key):
-        with self._lock:
-            found = self._store.get(key)
-            if found is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return found
+        found = self._store.get(key)
+        if found is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return found
 
     def put(self, key, value: LocalScore):
-        with self._lock:
-            self._store[key] = value
-
-    def __len__(self) -> int:
-        return len(self._store)
+        self._store[key] = value
 
 
 class Scorer:
-    """One dataset view plus one score configuration, with memoized locals."""
+    """One dataset view plus one score configuration, with memoized locals;
+    one thread at a time may use it."""
 
     def __init__(self, view: EmbeddedView, score_kind: str,
                  estimator: EstimatorKind | None = None, *,
@@ -151,8 +143,6 @@ class Scorer:
                  surrogates: SurrogateConfig | None = None):
         if score_kind not in SCORE_KINDS:
             raise ValidationError(f"unknown score kind {score_kind!r}")
-        if not view.covers_all():
-            raise ValidationError("scoring needs a view covering every subsystem")
         if estimator is None:
             estimator = EstimatorKind.discrete_plugin()
         if score_kind == "tea":
@@ -190,14 +180,14 @@ class Scorer:
         h = self._h_self.get(vertex)
         if h is None:
             h = conditional_entropy(next_value(vertex), [history(vertex)],
-                                    self.view, self.estimator).value
+                                    self.view, self.estimator)
             self._h_self[vertex] = h
         return h
 
     def _full_entropy(self, vertex: int, parents: tuple[int, ...]) -> float:
         conds = [history(vertex)] + [history(p) for p in parents]
         return conditional_entropy(next_value(vertex), conds,
-                                   self.view, self.estimator).value
+                                   self.view, self.estimator)
 
     def _te(self, vertex: int, parents: tuple[int, ...]) -> float:
         if not parents:
@@ -238,15 +228,17 @@ class Scorer:
 
     def local(self, vertex: int, parents: Sequence[int]) -> LocalScore:
         parents = tuple(sorted(int(p) for p in parents))
-        if vertex in parents:
-            raise ValidationError("vertex cannot be its own parent")
         key = (vertex, parents)
         cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        value = self._compute_local(vertex, parents)
-        self.cache.put(key, value)
-        return value
+        if cached is None:
+            # a key that fails these checks is never stored, so a hit needs none
+            for s in (vertex, *parents):
+                self.view.check_subsystem(s)
+            if vertex in parents:
+                raise ValidationError("vertex cannot be its own parent")
+            cached = self._compute_local(vertex, parents)
+            self.cache.put(key, cached)
+        return cached
 
     def _compute_local(self, vertex: int, parents: tuple[int, ...]) -> LocalScore:
         kind = self.score_kind
@@ -320,27 +312,3 @@ class Scorer:
             f_of_n=f_of_n,
             notes=notes,
         )
-
-
-def score_te(graph: Dag, view: EmbeddedView, kind: EstimatorKind) -> ScoreReport:
-    """Raw summed transfer entropy of each vertex from its parents (bits)."""
-    return Scorer(view, "te", kind).score(graph)
-
-
-def score_tea(graph: Dag, view: EmbeddedView, alpha: float,
-              kind: EstimatorKind | None = None) -> ScoreReport:
-    """Transfer entropy against analytic chi-squared independence tests."""
-    return Scorer(view, "tea", kind, alpha=alpha).score(graph)
-
-
-def score_tee(graph: Dag, view: EmbeddedView, kind: EstimatorKind,
-              cfg: SurrogateConfig) -> ScoreReport:
-    """Transfer entropy against empirical surrogate independence tests."""
-    return Scorer(view, "tee", kind, surrogates=cfg).score(graph)
-
-
-def score_ic(graph: Dag, view: EmbeddedView, variant: str) -> ScoreReport:
-    """Information-criterion score on discretized data: aic, bic or ml."""
-    if variant not in IC_KINDS:
-        raise ValidationError(f"unknown information criterion {variant!r}")
-    return Scorer(view, variant).score(graph)

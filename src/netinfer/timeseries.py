@@ -153,27 +153,23 @@ class EmbeddingSpec:
 
 @dataclass(frozen=True)
 class EmbeddedView:
-    """Aligned next-step targets and per-subsystem lag-vector histories.
+    """Aligned next-step targets and lag-vector histories of all M
+    subsystems.
 
-    Row t corresponds to time index n = offset + t of the source data;
-    ``targets[t, s]`` is y_{n+1} of the s-th included subsystem and
-    ``histories[s][t]`` is its κ-dimensional lag vector at time n.
+    ``targets[t, s]`` is y_{n+1} of subsystem s and ``histories[s][t]`` is
+    its κ-dimensional lag vector at time n, where row t is the time index
+    n = t + max_i (κ_i-1)τ_i of the source data.
     """
 
-    subsystems: tuple[int, ...]
-    names: tuple[str, ...]           # names of *all* M subsystems
-    targets: np.ndarray              # (rows, S)
+    names: tuple[str, ...]
+    targets: np.ndarray              # (rows, M)
     histories: tuple[np.ndarray, ...]
     rows: int
-    offset: int
     discrete: bool
     alphabet_sizes: tuple[int, ...] | None = None
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
     _ids: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_index",
-                           {s: pos for pos, s in enumerate(self.subsystems)})
         self.targets.flags.writeable = False
         for h in self.histories:
             h.flags.writeable = False
@@ -182,30 +178,29 @@ class EmbeddedView:
     def m_total(self) -> int:
         return len(self.names)
 
-    def covers_all(self) -> bool:
-        return set(self.subsystems) == set(range(self.m_total))
-
-    def _pos(self, subsystem: int) -> int:
-        try:
-            return self._index[subsystem]
-        except KeyError:
+    def check_subsystem(self, subsystem: int) -> int:
+        """Return ``subsystem`` if it indexes one of the M subsystems; a
+        negative index would otherwise quietly read from the end."""
+        if not 0 <= subsystem < len(self.names):
             raise ValidationError(
-                f"subsystem {subsystem} is not part of this view"
-            ) from None
+                f"subsystem index {subsystem} out of range for "
+                f"{len(self.names)} subsystems"
+            )
+        return subsystem
 
     def target(self, subsystem: int) -> np.ndarray:
-        return self.targets[:, self._pos(subsystem)]
+        return self.targets[:, self.check_subsystem(subsystem)]
 
     def history(self, subsystem: int) -> np.ndarray:
-        return self.histories[self._pos(subsystem)]
+        return self.histories[self.check_subsystem(subsystem)]
 
     def kappa(self, subsystem: int) -> int:
-        return self.histories[self._pos(subsystem)].shape[1]
+        return self.history(subsystem).shape[1]
 
     def alphabet(self, subsystem: int) -> int:
         if not self.discrete or self.alphabet_sizes is None:
             raise ValidationError("view is not discrete")
-        return self.alphabet_sizes[self._pos(subsystem)]
+        return self.alphabet_sizes[self.check_subsystem(subsystem)]
 
     def symbol_ids(self, role: str, subsystem: int) -> tuple[np.ndarray, int]:
         """Dense per-row ids 0..k-1 of a subsystem's "next" (target) or
@@ -217,8 +212,7 @@ class EmbeddedView:
             uniq, ids = np.unique(block, axis=0, return_inverse=True)
             ids = ids.reshape(-1)
             ids.flags.writeable = False
-            # concurrent first calls compute equal values; either may stay
-            found = self._ids.setdefault((role, subsystem), (ids, len(uniq)))
+            found = self._ids[(role, subsystem)] = (ids, len(uniq))
         return found
 
 
@@ -324,15 +318,11 @@ def discretize(ts: TimeSeriesSet, bins: Union[int, Sequence[int]]) -> Discretize
 
 
 def delay_embed(data: Union[TimeSeriesSet, DiscretizedSeries],
-                spec: EmbeddingSpec,
-                subsystems: Sequence[int] | None = None) -> EmbeddedView:
-    """Build aligned targets and lag-vector histories for the requested
-    subsystems.
+                spec: EmbeddingSpec) -> EmbeddedView:
+    """Build aligned targets and lag-vector histories of every subsystem.
 
     The usable rows are the time indices n where every subsystem's full
-    history fits and a next sample exists: rows = N - 1 - max_i (κ_i-1)τ_i,
-    taken over all M subsystems so that any two views of the same data are
-    row-aligned.
+    history fits and a next sample exists: rows = N - 1 - max_i (κ_i-1)τ_i.
     """
     discrete = isinstance(data, DiscretizedSeries)
     values = data.symbols if discrete else data.series
@@ -340,34 +330,21 @@ def delay_embed(data: Union[TimeSeriesSet, DiscretizedSeries],
     if len(spec.tau) != m:
         raise ValidationError(f"embedding spec covers {len(spec.tau)} of {m} subsystems")
     spec.validate_against(n)
-    if subsystems is None:
-        subsystems = tuple(range(m))
-    else:
-        subsystems = tuple(int(s) for s in subsystems)
-        for s in subsystems:
-            if not 0 <= s < m:
-                raise ValidationError(f"subsystem index {s} out of range")
-        if len(set(subsystems)) != len(subsystems):
-            raise ValidationError("duplicate subsystem index")
 
     depth = max(spec.depth(i) for i in range(m))
     rows = n - 1 - depth
-    if rows < 1:
-        raise ValidationError("embedding exceeds data length")
     idx = np.arange(depth, depth + rows)  # common present index n per row
 
-    targets = np.stack([values[s, idx + 1] for s in subsystems], axis=1)
+    targets = np.stack([values[s, idx + 1] for s in range(m)], axis=1)
     histories = []
-    for s in subsystems:
+    for s in range(m):
         lags = np.arange(spec.kappa[s]) * spec.tau[s]
         histories.append(values[s][idx[:, None] - lags[None, :]])
     return EmbeddedView(
-        subsystems=subsystems,
         names=data.names,
         targets=targets,
         histories=tuple(histories),
         rows=rows,
-        offset=depth,
         discrete=discrete,
-        alphabet_sizes=tuple(data.alphabet_sizes[s] for s in subsystems) if discrete else None,
+        alphabet_sizes=tuple(data.alphabet_sizes) if discrete else None,
     )

@@ -70,7 +70,8 @@ def test_criterion_2_min_kl_is_max_te():
     dags = _all_dags3()
     for ds in range(50):
         view = random_discrete_view(3, 2000, 3, seed=100_000 + ds)
-        totals = np.array([ni.score_te(g, view, DISCRETE).total for g in dags])
+        te = ni.Scorer(view, "te", DISCRETE)
+        totals = np.array([te.score(g).total for g in dags])
         kls = np.array([ni.kl_divergence(g, view, DISCRETE) for g in dags])
         argmax = {i for i, t in enumerate(totals) if t >= totals.max() - 1e-9}
         argmin = {i for i, k in enumerate(kls) if k <= kls.min() + 1e-9}

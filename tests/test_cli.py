@@ -259,6 +259,24 @@ def test_infer_te_without_cap_warns_and_completes(tmp_path, simulated, capsys):
     assert inferred.n_edges == 3  # complete DAG on three vertices
 
 
+def test_infer_exhaustive_rejects_max_parents(tmp_path, simulated, capsys):
+    out = tmp_path / "run"
+    assert main(["infer", "--data", str(simulated / "data.csv"),
+                 "--out-dir", str(out), "--search", "exhaustive",
+                 "--score", "te", "--bins", "4", "--max-parents", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --max-parents") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_infer_exhaustive_te_warning_names_no_cap(tmp_path, simulated, capsys):
+    assert main(["infer", "--data", str(simulated / "data.csv"),
+                 "--out-dir", str(tmp_path / "run"), "--search", "exhaustive",
+                 "--score", "te", "--bins", "4"]) == 0
+    err = capsys.readouterr().err
+    assert "complete graph" in err and "--max-parents" not in err
+
+
 def test_infer_outputs_validate_against_schemas(tmp_path, simulated):
     jsonschema = pytest.importorskip("jsonschema")
     out = tmp_path / "run"
@@ -372,8 +390,13 @@ def test_deeply_nested_config_exits_1_with_one_line(tmp_path, capsys):
     assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("name", ['a"b', "a//b", "a\nb"])
-@pytest.mark.parametrize("command", ["infer", "simulate"])
+@pytest.mark.parametrize(
+    "command, name",
+    [(command, name) for command in ("infer", "simulate")
+     for name in ('a"b', "a//b", "a\nb")]
+    # load_csv strips header cells and reads UTF-8, so only a config can
+    # carry edge spaces or a lone surrogate
+    + [("simulate", " V1"), ("simulate", "V1 "), ("simulate", "\ud800")])
 def test_dot_unsafe_name_exits_1_with_one_line(tmp_path, capsys, command, name):
     if command == "infer":
         data = tmp_path / "data.csv"

@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,20 +174,27 @@ def test_dot_rejects_garbage():
         ni.parse_dot('digraph G {\nnot a line\n}')
 
 
-@pytest.mark.parametrize("name", ['a"b', "a//b", "a\nb", "a\rb", "a\u2028b", ""])
+@pytest.mark.parametrize("name", ['a"b', "a//b", "a\nb", "a\rb", "a\u2028b", "",
+                                  " a", "a ", "\ta", "a\u00a0", "a\ud800"])
 def test_dot_unsafe_names_rejected(name):
     with pytest.raises(ValidationError, match="cannot be written to DOT"):
         ni.TimeSeriesSet(np.zeros((2, 3)), (name, "ok"))
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.lists(st.text(st.one_of(st.characters(), st.sampled_from('"/\n\r ;->{}')),
+@given(st.lists(st.text(st.one_of(st.characters(), st.sampled_from('"/\n\r\t ,;->{}')),
                         min_size=1, max_size=6),
                 min_size=1, max_size=4, unique=True))
 def test_dot_round_trips_accepted_names(names):
+    """Every accepted name reads back unchanged from DOT and from a CSV
+    header."""
     try:
-        ni.TimeSeriesSet(np.zeros((len(names), 2)), tuple(names))
+        ts = ni.TimeSeriesSet(np.zeros((len(names), 2)), tuple(names))
     except ValidationError:
         return
     text = ni.write_dot(ni.Dag.empty(len(names)), names)
     assert ni.parse_dot(text) == (list(names), [])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        ni.write_csv(ts, path)
+        assert ni.load_csv(path).names == tuple(names)

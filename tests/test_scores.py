@@ -22,18 +22,28 @@ def _tee_cfg(seed=0, count=19, alpha=0.95):
 # ---------------------------------------------------------------------------
 # basic contracts
 
+def test_public_names_resolve_and_removed_ones_are_gone():
+    for name in ni.__all__:
+        assert hasattr(ni, name), name
+    removed = {"score_te", "score_tea", "score_tee", "score_ic",
+               "EntropyResult", "LocalScoreCache"}
+    assert not removed & set(ni.__all__)
+    assert not any(hasattr(ni, name) for name in removed)
+
+
 def test_empty_graph_scores_zero():
     view = random_discrete_view(3, 800, 3, seed=0)
     empty = ni.Dag.empty(3)
-    assert ni.score_te(empty, view, DISCRETE).total == 0.0
-    assert ni.score_tea(empty, view, alpha=0.95, kind=DISCRETE).total == 0.0
-    assert ni.score_tee(empty, view, DISCRETE, _tee_cfg()).total == 0.0
+    assert ni.Scorer(view, "te", DISCRETE).score(empty).total == 0.0
+    assert ni.Scorer(view, "tea", DISCRETE, alpha=0.95).score(empty).total == 0.0
+    assert ni.Scorer(view, "tee", DISCRETE,
+                     surrogates=_tee_cfg()).score(empty).total == 0.0
 
 
 def test_te_score_penalty_is_zero_and_total_decomposes():
     view = random_discrete_view(3, 800, 3, seed=1)
     g = ni.Dag(3, ((), (0,), (0, 1)))
-    report = ni.score_te(g, view, DISCRETE)
+    report = ni.Scorer(view, "te", DISCRETE).score(g)
     assert all(pv.penalty == 0.0 for pv in report.per_vertex)
     assert report.total == pytest.approx(sum(pv.local for pv in report.per_vertex), abs=1e-9)
 
@@ -41,10 +51,10 @@ def test_te_score_penalty_is_zero_and_total_decomposes():
 def test_te_score_adding_edge_never_lowers_total():
     view = random_discrete_view(3, 600, 3, seed=2)
     g = ni.Dag.empty(3)
-    total = ni.score_te(g, view, DISCRETE).total
+    total = ni.Scorer(view, "te", DISCRETE).score(g).total
     for src, dst in [(0, 1), (1, 2), (0, 2)]:
         g = g.with_edge(src, dst)
-        new_total = ni.score_te(g, view, DISCRETE).total
+        new_total = ni.Scorer(view, "te", DISCRETE).score(g).total
         assert new_total >= total - 1e-12
         total = new_total
 
@@ -52,16 +62,17 @@ def test_te_score_adding_edge_never_lowers_total():
 def test_chain_scores_above_empty_on_coupled_data(chain3_discrete_view):
     view = chain3_discrete_view
     chain = chain_dag(3)
-    assert ni.score_te(chain, view, DISCRETE).total > 0.1
-    assert ni.score_tee(chain, view, DISCRETE, _tee_cfg()).total > \
-        ni.score_tee(ni.Dag.empty(3), view, DISCRETE, _tee_cfg()).total
+    assert ni.Scorer(view, "te", DISCRETE).score(chain).total > 0.1
+    assert ni.Scorer(view, "tee", DISCRETE, surrogates=_tee_cfg()).score(chain).total > \
+        ni.Scorer(view, "tee", DISCRETE,
+                  surrogates=_tee_cfg()).score(ni.Dag.empty(3)).total
 
 
 def test_scores_reject_cyclic_graph():
     view = random_discrete_view(2, 300, 2, seed=3)
     cyclic = ni.Dag(2, ((1,), (0,)))
     with pytest.raises(ValidationError, match="acyclic"):
-        ni.score_te(cyclic, view, DISCRETE)
+        ni.Scorer(view, "te", DISCRETE).score(cyclic)
 
 
 def test_tea_rejects_box_kernel():
@@ -69,8 +80,8 @@ def test_tea_rejects_box_kernel():
     ts = ni.TimeSeriesSet.from_columns(rng.standard_normal((2, 200)))
     view = ni.delay_embed(ts, ni.EmbeddingSpec.uniform(2, 1, 1))
     with pytest.raises(ValidationError, match="analytic null"):
-        ni.score_tea(ni.Dag.empty(2), view, alpha=0.9,
-                     kind=ni.EstimatorKind.box_kernel(0.2))
+        ni.Scorer(view, "tea", ni.EstimatorKind.box_kernel(0.2),
+                  alpha=0.9).score(ni.Dag.empty(2))
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +169,12 @@ def test_tee_true_edge_positive(chain3_discrete_view):
 
 
 def test_tee_deterministic_given_seed(chain3_discrete_view):
-    a = ni.score_tee(chain_dag(3), chain3_discrete_view, DISCRETE, _tee_cfg(seed=5))
-    b = ni.score_tee(chain_dag(3), chain3_discrete_view, DISCRETE, _tee_cfg(seed=5))
-    c = ni.score_tee(chain_dag(3), chain3_discrete_view, DISCRETE, _tee_cfg(seed=6))
+    a = ni.Scorer(chain3_discrete_view, "tee", DISCRETE,
+                  surrogates=_tee_cfg(seed=5)).score(chain_dag(3))
+    b = ni.Scorer(chain3_discrete_view, "tee", DISCRETE,
+                  surrogates=_tee_cfg(seed=5)).score(chain_dag(3))
+    c = ni.Scorer(chain3_discrete_view, "tee", DISCRETE,
+                  surrogates=_tee_cfg(seed=6)).score(chain_dag(3))
     assert a.to_dict() == b.to_dict()
     assert a.to_dict() != c.to_dict()
 
@@ -201,8 +215,8 @@ def test_bic_prefers_true_graph_over_complete(chain3_discrete_view):
     view = chain3_discrete_view
     truth = chain_dag(3)
     complete = ni.Dag(3, ((), (0,), (0, 1)))
-    bic_truth = ni.score_ic(truth, view, "bic").total
-    bic_complete = ni.score_ic(complete, view, "bic").total
+    bic_truth = ni.Scorer(view, "bic").score(truth).total
+    bic_complete = ni.Scorer(view, "bic").score(complete).total
     assert bic_truth > bic_complete
 
 
@@ -211,7 +225,7 @@ def test_ic_dimension_binary_chain():
     sym = rng.integers(0, 2, size=(2, 400))
     disc = ni.DiscretizedSeries.from_symbols(sym, (2, 2))
     view = ni.delay_embed(disc, ni.EmbeddingSpec.uniform(2, 1, 1))
-    report = ni.score_ic(chain_dag(2), view, "aic")
+    report = ni.Scorer(view, "aic").score(chain_dag(2))
     # aic has f(N) = 1, so the reported penalty is the parameter count
     assert report.per_vertex[0].penalty == 2.0   # (2-1) * 2
     assert report.per_vertex[1].penalty == 4.0   # (2-1) * 2 * 2
@@ -223,7 +237,7 @@ def test_ic_requires_discrete():
     ts = ni.TimeSeriesSet.from_columns(rng.standard_normal((2, 200)))
     view = ni.delay_embed(ts, ni.EmbeddingSpec.uniform(2, 1, 1))
     with pytest.raises(ValidationError, match="discretized"):
-        ni.score_ic(chain_dag(2), view, "bic")
+        ni.Scorer(view, "bic").score(chain_dag(2))
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +254,13 @@ def test_cache_hit_skips_recomputation():
     assert sc.cache.hits >= 1
 
 
-def test_cache_safe_under_concurrent_use():
-    from concurrent.futures import ThreadPoolExecutor
-
-    view = random_discrete_view(4, 800, 2, seed=15)
-    sc = ni.Scorer(view, "tea", DISCRETE, alpha=0.95)
-    keys = [(v, tuple(p for p in range(4) if p != v and (p + v) % 2 == 0))
-            for v in range(4)] * 8
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(lambda k: sc.local(*k).local, keys))
-    for key, value in zip(keys, results):
-        assert value == sc.local(*key).local
+@pytest.mark.parametrize("kind", ["te", "bic"])
+@pytest.mark.parametrize("vertex, parents", [(3, ()), (-1, ()), (0, (3,)),
+                                             (0, (-1,)), (1, (0, 3))])
+def test_local_rejects_out_of_range_vertex_or_parent(kind, vertex, parents):
+    sc = ni.Scorer(random_discrete_view(3, 300, 2, seed=16), kind, DISCRETE)
+    with pytest.raises(ValidationError, match="out of range"):
+        sc.local(vertex, parents)
 
 
 def test_decomposability_cached_equals_fresh():
@@ -269,8 +279,8 @@ def test_decomposability_cached_equals_fresh():
 # report serialization
 
 def test_report_json_shape(chain3_discrete_view):
-    report = ni.score_tee(chain_dag(3), chain3_discrete_view, DISCRETE,
-                          _tee_cfg(seed=3))
+    report = ni.Scorer(chain3_discrete_view, "tee", DISCRETE,
+                       surrogates=_tee_cfg(seed=3)).score(chain_dag(3))
     doc = json.loads(report.to_json())
     assert set(doc) >= {"score_kind", "estimator", "alpha", "seed", "total",
                         "per_vertex"}
@@ -289,6 +299,6 @@ def test_report_validates_against_schema(chain3_discrete_view):
     schema = json.loads(
         resources.files("netinfer").joinpath("schemas/score_report.schema.json")
         .read_text())
-    report = ni.score_tea(chain_dag(3), chain3_discrete_view, alpha=0.95,
-                          kind=DISCRETE)
+    report = ni.Scorer(chain3_discrete_view, "tea", DISCRETE,
+                       alpha=0.95).score(chain_dag(3))
     jsonschema.validate(json.loads(report.to_json()), schema)

@@ -180,20 +180,14 @@ def test_delay_embed_lag_formula(tau, kappa, n, seed):
             assert view.history(0)[t, k] == series[current - k * tau]
 
 
-def test_delay_embed_subsystem_subset():
-    ts = ni.TimeSeriesSet.from_columns([np.arange(10.0),
-                                        np.arange(10.0) * 2,
-                                        np.arange(10.0) * 3])
-    spec = ni.EmbeddingSpec(tau=(1, 1, 3), kappa=(2, 2, 2))
-    view = ni.delay_embed(ts, spec, subsystems=[2, 0])
-    # trimming uses the deepest embedding across *all* subsystems, so a
-    # subset view stays row-aligned with the full view
-    full = ni.delay_embed(ts, spec)
-    assert view.rows == full.rows
-    assert np.array_equal(view.target(0), full.target(0))
-    assert np.array_equal(view.history(2), full.history(2))
-    with pytest.raises(ValidationError, match="not part of this view"):
-        view.target(1)
+@pytest.mark.parametrize("subsystem", [3, -1])
+def test_view_rejects_out_of_range_subsystem(subsystem):
+    ts = ni.TimeSeriesSet.from_columns(np.arange(30.0).reshape(3, 10))
+    view = ni.delay_embed(ni.discretize(ts, 2), ni.EmbeddingSpec.uniform(3))
+    for read in (view.target, view.history, view.kappa, view.alphabet,
+                 lambda s: view.symbol_ids("next", s)):
+        with pytest.raises(ValidationError, match="out of range"):
+            read(subsystem)
 
 
 def test_embedding_spec_validation():
