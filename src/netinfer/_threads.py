@@ -2,9 +2,10 @@
 
 The NETINFER_THREADS environment variable caps parallelism package-wide:
 unset or "0" means auto (bounded by the CPU count), "1" forces serial
-execution, and larger requests are clamped to MAX_WORKERS. Results are
-always returned in submission order, so output is independent of
-scheduling.
+execution, and larger requests are clamped to MAX_WORKERS. Work is split
+into one contiguous chunk per worker, and results are always returned in
+submission order, so output is independent of scheduling and of the
+thread count.
 """
 
 import os
@@ -30,10 +31,13 @@ def worker_count() -> int:
 
 
 def parallel_map(fn, items):
-    """Map fn over items, threaded when the configured pool allows it."""
+    """Map fn over items in order, one contiguous chunk per pool worker."""
     items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
+    workers = min(worker_count(), len(items))
+    if workers <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    ends = [len(items) * k // workers for k in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        chunks = pool.map(lambda a, b: [fn(it) for it in items[a:b]],
+                          ends[:-1], ends[1:])
+        return [r for chunk in chunks for r in chunk]

@@ -5,7 +5,8 @@ Three interchangeable density models back every measure here:
 * ``discrete-plugin``: raw relative frequencies over integer symbols, no
   bias correction (downstream penalties account for the bias), counted
   over integer row ids: dense ids per view block, joined as a * n_b + b
-  and counted with np.bincount (sorted above a cap),
+  and counted with np.bincount (sorted only when a join's id space
+  passes a cap of 2**18 ids),
 * ``linear-gaussian``: H(Z|W) = 0.5 log2((2 pi e)^d det S_{Z|W}) with the
   conditional covariance from a Schur complement of the sample covariance
   (N-1 normalisation),
@@ -105,11 +106,12 @@ def _resolve(view: EmbeddedView, selections: Iterable[Selection]) -> np.ndarray:
 # discrete counting kernel over dense integer row ids
 
 # Id spaces up to this size are counted with np.bincount, one int64 table
-# entry per id; larger ones are sorted instead. Each pooled surrogate holds
-# one table at a time: on greedy tee search (M=5, N=10000, 8 bins) caps of
-# 2**17 and 2**18 ran 7% faster than 2**16 but raised peak memory by
-# 0.3 and 1.9 MB (of about 80 MB; two pool threads, 2 vCPUs).
-_BINCOUNT_CAP = 2 ** 16
+# entry per id (2 MB at the cap); larger ones are sorted instead. Each pooled
+# surrogate holds one table at a time. On greedy tee search (M=5, N=10000,
+# 8 bins) five of 31 populations join 66k-135k ids; on the 135k one (2 vCPUs,
+# one thread) 2**18 took 0.40 ms per surrogate against 0.74-0.83 ms at 2**16,
+# and the population's traced peak rose from 1.2 to 1.7 MB.
+_BINCOUNT_CAP = 2 ** 18
 
 
 def _dense(code: np.ndarray) -> tuple[np.ndarray, int]:
@@ -146,16 +148,23 @@ def _row_counts(ids: np.ndarray, n_ids: int) -> np.ndarray:
     return cnt[inv]
 
 
-def discrete_cond_entropy(w: np.ndarray, n_w: int,
-                          zw: np.ndarray, n_zw: int) -> float:
-    """Plug-in H(Z|W) in bits from per-row ids of W and of (W, Z)."""
-    return float(np.mean(np.log2(_row_counts(w, n_w))
-                         - np.log2(_row_counts(zw, n_zw))))
+def _log2_table(rows: int) -> np.ndarray:
+    """np.log2 of each row count 0..rows by index (0, never a count, maps to 0)."""
+    return np.log2(np.maximum(np.arange(rows + 1), 1))
+
+
+def discrete_cond_entropy(w: np.ndarray, n_w: int, zw: np.ndarray, n_zw: int,
+                          log2: np.ndarray) -> float:
+    """Plug-in H(Z|W) in bits from per-row ids of W and of (W, Z), with the
+    logs of the row counts read from ``log2 = _log2_table(rows)``."""
+    per_row = log2.take(_row_counts(w, n_w)) - log2.take(_row_counts(zw, n_zw))
+    return float(np.add.reduce(per_row) / len(w))  # np.mean's sum and division
 
 
 def _discrete_from_view(view: EmbeddedView, target, conditioners) -> float:
     w, n_w = _selection_ids(view, conditioners)
-    return discrete_cond_entropy(w, n_w, *_join(w, n_w, *_selection_ids(view, target)))
+    return discrete_cond_entropy(w, n_w, *_join(w, n_w, *_selection_ids(view, target)),
+                                 _log2_table(view.rows))
 
 
 def gaussian_cond_entropy(z: np.ndarray, w: np.ndarray) -> float:
@@ -301,12 +310,13 @@ def collective_transfer_entropy(dest: int, sources, view: EmbeddedView,
 
 def resampled_source_entropy(dest: int, sources, view: EmbeddedView,
                              kind: EstimatorKind):
-    """Return ``(h_self, h_full)`` for the destination's next value:
-    ``h_self`` is H(next | own past) and ``h_full(idx)`` is H(next | own
-    past, source pasts) with the joint source-history rows taken in the
-    order ``idx`` (``sources`` must be non-empty). Everything that ``idx``
-    does not touch is prepared once, so a surrogate population pays only
-    for the reordering and counting.
+    """Return ``(h_self, block, h_full)`` for the destination's next value:
+    ``h_self`` is H(next | own past), ``block`` holds the joint source-history
+    rows (one id per row for the discrete estimator), and ``h_full(rows)`` is
+    H(next | own past, source pasts) with the source rows replaced by
+    ``rows``, a resampling of ``block`` (``sources`` must be non-empty).
+    Everything that the resampling does not touch is prepared once, so a
+    surrogate population pays only for the draw and the counting.
     """
     h_self = conditional_entropy(next_value(dest), [history(dest)], view, kind)
     if kind.method == "discrete-plugin":
@@ -315,19 +325,18 @@ def resampled_source_entropy(dest: int, sources, view: EmbeddedView,
         dz, n_dz = _dense(wd * n_z + z)
         src, n_src = _dense(_selection_ids(view, [history(s) for s in sources])[0])
         wd_base, dz_base = wd * n_src, dz * n_src
+        log2 = _log2_table(view.rows)
 
-        def h_full(idx: np.ndarray) -> float:
-            s = src[idx]
+        def h_full(s: np.ndarray) -> float:
             return discrete_cond_entropy(wd_base + s, n_wd * n_src,
-                                         dz_base + s, n_dz * n_src)
-    else:
-        z = _resolve(view, [next_value(dest)])
-        wd = _resolve(view, [history(dest)])
-        ws = _resolve(view, [history(s) for s in sources])
+                                         dz_base + s, n_dz * n_src, log2)
+        return h_self, src, h_full
+    z = _resolve(view, [next_value(dest)])
+    wd = _resolve(view, [history(dest)])
 
-        def h_full(idx: np.ndarray) -> float:
-            return _real_cond_entropy(kind, z, np.hstack([wd, ws[idx]]))
-    return h_self, h_full
+    def h_full(ws: np.ndarray) -> float:
+        return _real_cond_entropy(kind, z, np.hstack([wd, ws]))
+    return h_self, _resolve(view, [history(s) for s in sources]), h_full
 
 
 def stochastic_interaction(view: EmbeddedView, kind: EstimatorKind) -> float:

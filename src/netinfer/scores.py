@@ -236,6 +236,8 @@ class Scorer:
                 self.view.check_subsystem(s)
             if vertex in parents:
                 raise ValidationError("vertex cannot be its own parent")
+            if len(set(parents)) < len(parents):
+                raise ValidationError(f"repeated parent in {parents}")
             cached = self._compute_local(vertex, parents)
             self.cache.put(key, cached)
         return cached

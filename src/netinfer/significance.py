@@ -136,11 +136,12 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def surrogate_indices(rows: int, method: str, rng: np.random.Generator) -> np.ndarray:
-    """Row indices realizing one surrogate draw."""
+def resample_rows(block: np.ndarray, method: str, rng: np.random.Generator) -> np.ndarray:
+    """One surrogate draw of a block's rows, taken whole: the same draws and
+    rows as indexing with ``rng.permutation(n)`` or ``rng.integers(0, n, n)``."""
     if method == "permutation":
-        return rng.permutation(rows)
-    return rng.integers(0, rows, size=rows)
+        return rng.permutation(block)
+    return block[rng.integers(0, len(block), size=len(block))]
 
 
 def surrogate_te_samples(dest: int, sources, view: EmbeddedView,
@@ -158,11 +159,11 @@ def surrogate_te_samples(dest: int, sources, view: EmbeddedView,
         raise ValidationError("surrogate test needs a non-empty source set")
     if dest in sources:
         raise ValidationError("destination cannot be one of its sources")
-    h_self, h_full = resampled_source_entropy(dest, sources, view, kind)
+    h_self, block, h_full = resampled_source_entropy(dest, sources, view, kind)
 
     def one(i: int) -> float:
         rng = np.random.default_rng(derive_seed(cfg.seed, i))
-        return h_self - h_full(surrogate_indices(view.rows, cfg.method, rng))
+        return h_self - h_full(resample_rows(block, cfg.method, rng))
 
     return parallel_map(one, range(cfg.count))
 

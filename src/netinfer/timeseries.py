@@ -287,8 +287,9 @@ def write_csv(ts: TimeSeriesSet, path):
 def discretize(ts: TimeSeriesSet, bins: Union[int, Sequence[int]]) -> DiscretizedSeries:
     """Equal-width binning over [min, max] per subsystem.
 
-    The final bin is right-closed so the maximum maps to bins-1. Constant
-    series have no width to split and are rejected.
+    The final bin is right-closed so the maximum maps to bins-1. A series
+    whose range (zero for a constant) gives no bins+1 distinct float64 edges
+    is rejected before anything is divided by the bin width.
     """
     if isinstance(bins, (int, np.integer)):
         per = [int(bins)] * ts.m
@@ -305,15 +306,16 @@ def discretize(ts: TimeSeriesSet, bins: Union[int, Sequence[int]]) -> Discretize
     for i in range(ts.m):
         lo = float(ts.series[i].min())
         hi = float(ts.series[i].max())
-        if lo == hi:
-            raise ValidationError(
-                f"zero-range series {ts.names[i]!r}: cannot discretize a constant"
-            )
         width = (hi - lo) / per[i]
+        cuts = tuple(lo + k * width for k in range(per[i] + 1))
+        if not all(a < b for a, b in zip(cuts, cuts[1:])):
+            raise ValidationError(
+                f"series {ts.names[i]!r}: cannot split the {'zero-' if lo == hi else ''}"
+                f"range [{lo!r}, {hi!r}] into {per[i]} distinct bins")
         sym = np.floor((ts.series[i] - lo) / width).astype(np.int64)
         np.clip(sym, 0, per[i] - 1, out=sym)
         symbols[i] = sym
-        edges.append(tuple(lo + k * width for k in range(per[i] + 1)))
+        edges.append(cuts)
     return DiscretizedSeries(symbols, tuple(per), tuple(edges), ts.names)
 
 

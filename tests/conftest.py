@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 import netinfer as ni
 from netinfer.estimators import history, next_value
-from netinfer.significance import derive_seed, surrogate_indices
+from netinfer.significance import derive_seed
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +35,16 @@ def counting_cond_entropy(z_rows, w_rows):
     for (zk, wk), c in czw.items():
         h += (c / n) * (math.log2(cw[wk]) - math.log2(c))
     return h
+
+
+# The reference for a surrogate draw is the index draw it replaced: the rows
+# of a resampled block are the block indexed by these.
+
+def surrogate_indices(rows, method, rng):
+    """Row indices realizing one surrogate draw."""
+    if method == "permutation":
+        return rng.permutation(rows)
+    return rng.integers(0, rows, size=rows)
 
 
 # The slow reference for the discrete counting kernel is the matrix path it

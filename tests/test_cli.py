@@ -382,6 +382,21 @@ def test_non_utf8_input_exits_1_with_one_line(tmp_path, simulated, capsys,
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
 
+def test_narrow_range_column_exits_1_with_one_line(tmp_path):
+    # the range of V1 is one subnormal step: half of it underflows to 0
+    data = tmp_path / "narrow.csv"
+    rows = [f"{[0.0, 0.0, 5e-324][t % 3]!r},{t % 7 / 7}" for t in range(60)]
+    data.write_text("V1,V2\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "netinfer", "infer", "--data", str(data),
+         "--score", "tea", "--bins", "2", "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=cli_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1
+    assert "series 'V1': cannot split the range" in proc.stderr
+
+
 def test_deeply_nested_config_exits_1_with_one_line(tmp_path, capsys):
     cfg = tmp_path / "deep.json"
     cfg.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")

@@ -12,6 +12,7 @@ from netinfer.estimators import (
     _BINCOUNT_CAP,
     _BOX_BLOCK,
     _box_counts,
+    _log2_table,
     box_cond_entropy,
 )
 
@@ -109,12 +110,27 @@ def test_discrete_kernel_bit_identical_on_chain_data(chain3_discrete_view):
 def test_discrete_kernel_sort_fallback_bit_identical():
     # more distinct (past, past) rows than the bincount cap admits, so the
     # joint ids are counted by sorting
-    view = random_discrete_view(2, 100_000, 16, seed=61, kappa=3)
+    view = random_discrete_view(2, 300_000, 16, seed=61, kappa=3)
     conds = [history(0), history(1)]
     joint = np.hstack([view.history(0), view.history(1)])
     assert len(np.unique(joint, axis=0)) > _BINCOUNT_CAP
     got = ni.conditional_entropy(next_value(0), conds, view, DISCRETE)
     assert got == reference_conditional_entropy([next_value(0)], conds, view)
+
+
+def test_log2_table_matches_np_log2_bit_for_bit():
+    # np.log2 of each count, taken alone and inside a shuffled array, has
+    # the same bits as the table entry, wherever the count sits in a row
+    rows = 200_000
+    table = _log2_table(rows)
+    counts = np.arange(1, rows + 1)
+    assert table[0] == 0.0
+    assert np.array_equal(table[1:].view(np.int64), np.log2(counts).view(np.int64))
+    order = np.random.default_rng(0).permutation(rows)
+    assert np.array_equal(table[counts[order]].view(np.int64),
+                          np.log2(counts[order]).view(np.int64))
+    alone = np.array([np.log2(c) for c in counts[:: 97]])
+    assert np.array_equal(table[counts[:: 97]].view(np.int64), alone.view(np.int64))
 
 
 @pytest.mark.parametrize("bins, kappa", [(2, 3), (4, 2), (8, 1)])

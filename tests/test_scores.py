@@ -263,6 +263,16 @@ def test_local_rejects_out_of_range_vertex_or_parent(kind, vertex, parents):
         sc.local(vertex, parents)
 
 
+@pytest.mark.parametrize("kind", ["te", "tea", "bic"])
+def test_local_rejects_repeated_parents(kind):
+    sc = ni.Scorer(random_discrete_view(3, 300, 2, seed=17), kind, DISCRETE)
+    # twice each: a rejected key is never stored, so it never becomes a hit
+    for parents in ((0, 0), (0, 0), (2, 0, 2), (2, 0, 2)):
+        with pytest.raises(ValidationError, match="repeated parent"):
+            sc.local(1, parents)
+    assert sc.cache.hits == 0
+
+
 def test_decomposability_cached_equals_fresh():
     view = random_discrete_view(4, 700, 2, seed=13)
     shared = ni.Scorer(view, "tea", DISCRETE, alpha=0.95)

@@ -11,7 +11,7 @@ from netinfer.significance import (
     chi2_cdf,
     derive_seed,
     gaussian_te_degrees_of_freedom,
-    surrogate_indices,
+    resample_rows,
     te_statistic,
 )
 
@@ -23,6 +23,7 @@ from conftest import (
     reference_box_surrogate_te_samples,
     reference_surrogate_te_samples,
     simulate_chain,
+    surrogate_indices,
 )
 
 DISCRETE = ni.EstimatorKind.discrete_plugin()
@@ -145,14 +146,25 @@ def test_surrogate_requires_sources():
 
 def test_permutation_preserves_marginal_rows():
     rng = np.random.default_rng(3)
-    idx = surrogate_indices(500, "permutation", rng)
-    assert sorted(idx.tolist()) == list(range(500))
     rows = rng.integers(0, 4, size=(500, 3))
-    permuted = rows[idx]
+    permuted = resample_rows(rows, "permutation", rng)
     a = {tuple(r) for r in rows.tolist()}
     b = {tuple(r) for r in permuted.tolist()}
     assert a == b
     assert np.array_equal(np.sort(rows, axis=0), np.sort(permuted, axis=0))
+
+
+@pytest.mark.parametrize("method", ["permutation", "bootstrap"])
+@pytest.mark.parametrize("block", [
+    np.random.default_rng(1).integers(0, 50, size=777),       # discrete ids
+    np.random.default_rng(2).normal(size=(777, 3)),           # real rows
+])
+def test_resample_rows_equals_indexing_with_the_index_draw(method, block):
+    for seed in range(20):
+        got = resample_rows(block, method, np.random.default_rng(seed))
+        idx = surrogate_indices(len(block), method, np.random.default_rng(seed))
+        assert got.dtype == block.dtype
+        assert np.array_equal(got, block[idx])
 
 
 def test_surrogates_deterministic_and_order_free():
@@ -185,6 +197,20 @@ def test_surrogates_sort_fallback_bit_identical(method):
     assert (len(np.unique(pairs, axis=0)) * len(np.unique(sources, axis=0))
             > _BINCOUNT_CAP)
     cfg = ni.SurrogateConfig(count=5, alpha=0.5, method=method, seed=4)
+    got = ni.surrogate_te_samples(0, (1, 2), view, DISCRETE, cfg)
+    assert got == reference_surrogate_te_samples(0, (1, 2), view, cfg)
+
+
+@pytest.mark.parametrize("method", ["permutation", "bootstrap"])
+def test_surrogates_bincount_above_old_cap_bit_identical(method):
+    # (own past, next) pairs times joint source pasts lie between 2**16 and
+    # the bincount cap, so every surrogate is counted with np.bincount
+    view = random_discrete_view(3, 800, 4, seed=35, kappa=3)
+    pairs = np.hstack([view.history(0), view.target(0)[:, None]])
+    sources = np.hstack([view.history(1), view.history(2)])
+    joined = len(np.unique(pairs, axis=0)) * len(np.unique(sources, axis=0))
+    assert 2 ** 16 < joined <= _BINCOUNT_CAP
+    cfg = ni.SurrogateConfig(count=5, alpha=0.5, method=method, seed=6)
     got = ni.surrogate_te_samples(0, (1, 2), view, DISCRETE, cfg)
     assert got == reference_surrogate_te_samples(0, (1, 2), view, cfg)
 

@@ -34,7 +34,9 @@ def test_worker_count_clamped():
 
 
 def test_parallel_map_preserves_order():
-    def run():
-        return threads.parallel_map(lambda x: x * x, range(25))
-    assert _with_env("4", run) == [x * x for x in range(25)]
-    assert _with_env("1", run) == [x * x for x in range(25)]
+    # 0 and 1 items, fewer items than workers, and counts the worker count
+    # does not divide: every result comes back in submission order
+    for value in ("1", "2", "4"):
+        for n in (0, 1, 2, 3, 5, 7, 9, 25):
+            got = _with_env(value, lambda: threads.parallel_map(lambda x: x * x, range(n)))
+            assert got == [x * x for x in range(n)]

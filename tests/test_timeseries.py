@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import netinfer as ni
@@ -109,11 +111,20 @@ def test_discretize_per_subsystem_bins():
 @settings(deadline=None, max_examples=100)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=40),
        st.integers(2, 6))
+@example(values=[0.0, 0.0, 5e-324], bins=2)
 def test_discretize_monotone(values, bins):
-    if max(values) == min(values):
-        return
+    # every input either discretizes monotonically or raises the one
+    # documented error naming the subsystem, without a warning first
     ts = ni.TimeSeriesSet.from_columns([values])
-    sym = ni.discretize(ts, bins).symbols[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sym = ni.discretize(ts, bins).symbols[0]
+        except ValidationError as exc:
+            assert repr(ts.names[0]) in str(exc)
+            assert ("the zero-range" if max(values) == min(values)
+                    else "cannot split the range") in str(exc)
+            return
     order = np.argsort(values, kind="stable")
     assert np.all(np.diff(sym[order]) >= 0)
 
