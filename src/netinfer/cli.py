@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import replace
 from typing import Optional, Sequence
 
@@ -173,9 +174,15 @@ def _build_scorer(args, ts) -> Scorer:
     view = delay_embed(data, spec)
     surrogates = None
     if args.score == "tee":
-        surrogates = SurrogateConfig(count=args.surrogates, alpha=args.alpha,
+        surrogates = SurrogateConfig(count=args.surrogates,
                                      method=args.surrogate_method, seed=args.seed)
-    return Scorer(view, args.score, kind, alpha=args.alpha, surrogates=surrogates)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scorer = Scorer(view, args.score, kind, alpha=args.alpha,
+                        surrogates=surrogates)
+    for w in caught:  # one line each, like the CLI's own warnings
+        print(f"warning: {w.message}", file=sys.stderr)
+    return scorer
 
 
 def _print_report(report):
@@ -356,13 +363,14 @@ def cmd_infer(args, argv) -> int:
                               "exhaustive search scores every DAG")
     ts = load_csv(args.data)
     if args.score in ("te", "ml") and args.max_parents is None:
-        advice = ("use tea/tee" if args.search == "exhaustive"
-                  else "set --max-parents or use tea/tee")
-        print(
-            f"warning: --score {args.score} is non-decreasing in parents; "
-            f"expect a complete graph ({advice})",
-            file=sys.stderr,
-        )
+        if args.search == "exhaustive":
+            expect = "expect a complete graph (use tea/tee)"
+        else:
+            cap = SearchConfig().resolved_max_parents(args.score)
+            expect = (f"expect a complete graph, capped at {cap} parents per "
+                      "vertex (set --max-parents or use tea/tee)")
+        print(f"warning: --score {args.score} is non-decreasing in parents; "
+              f"{expect}", file=sys.stderr)
     scorer = _build_scorer(args, ts)
     if args.search == "exhaustive":
         result = exhaustive_search(scorer)

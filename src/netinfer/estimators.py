@@ -32,7 +32,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import NumericError, ValidationError
-from .graph import Dag
+from .graph import Dag, check_parents, check_vertex_count
 from .timeseries import EmbeddedView
 
 _COND_LIMIT = 1e12
@@ -298,8 +298,7 @@ def collective_transfer_entropy(dest: int, sources, view: EmbeddedView,
     An empty source set carries no information, so the value is exactly 0.
     """
     sources = tuple(sources)
-    if dest in sources:
-        raise ValidationError("destination cannot be one of its sources")
+    check_parents(dest, sources, view.m_total)
     if not sources:
         return 0.0
     h_self = conditional_entropy(next_value(dest), [history(dest)], view, kind)
@@ -357,10 +356,7 @@ def kl_divergence(graph: Dag, view: EmbeddedView, kind: EstimatorKind) -> float:
     """Divergence (bits) of the graph-factorised transition model from the
     joint empirical one: stochastic interaction minus the summed collective
     transfer entropies into each vertex from its parents."""
-    if graph.m != view.m_total:
-        raise ValidationError(
-            f"graph has {graph.m} vertices but the data has {view.m_total}"
-        )
+    check_vertex_count(graph, view.m_total)
     s_y = stochastic_interaction(view, kind)
     te_sum = sum(
         collective_transfer_entropy(v, graph.parents[v], view, kind)

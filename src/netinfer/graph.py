@@ -1,9 +1,9 @@
 """Directed graphs over subsystem vertices, stored as per-vertex parent sets.
 
-A ``Dag`` is plain data: it checks self-loops and duplicate parents at
-construction but deliberately tolerates cycles so that :func:`is_acyclic`
-can be used as a real test. Everything that consumes graphs for scoring or
-simulation validates acyclicity explicitly.
+A ``Dag`` is plain data: it checks each parent set with
+:func:`check_parents` at construction but deliberately tolerates cycles so
+that :func:`is_acyclic` can be used as a real test. Everything that
+consumes graphs for scoring or simulation validates acyclicity explicitly.
 """
 
 from __future__ import annotations
@@ -15,6 +15,26 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DataFormatError, ValidationError
 
 MAX_EXHAUSTIVE_VERTICES = 6
+
+
+def check_parents(vertex: int, parents: Sequence[int], m: int):
+    """The one parent-set rule, for graphs, scores and tests alike: every
+    index lies in 0..m-1, the vertex is not its own parent, no parent
+    repeats."""
+    for s in (vertex, *parents):
+        if not 0 <= s < m:
+            raise ValidationError(f"vertex {s} out of range for {m} vertices")
+    if vertex in parents:
+        raise ValidationError(f"self-loop on vertex {vertex}")
+    if len(set(parents)) != len(parents):
+        raise ValidationError(f"repeated parent in set of vertex {vertex} "
+                              "(a parent set holds no duplicates)")
+
+
+def check_vertex_count(graph: Dag, m: int):
+    """Reject a graph whose vertex count differs from the data's, ``m``."""
+    if graph.m != m:
+        raise ValidationError(f"graph has {graph.m} vertices but the data has {m}")
 
 
 @dataclass(frozen=True)
@@ -31,18 +51,10 @@ class Dag:
             raise ValidationError(
                 f"parents has {len(self.parents)} entries for {self.m} vertices"
             )
-        norm = []
-        for v, ps in enumerate(self.parents):
-            ps = tuple(sorted(ps))
-            for p in ps:
-                if p == v:
-                    raise ValidationError(f"self-loop on vertex {v}")
-                if not 0 <= p < self.m:
-                    raise ValidationError(f"parent {p} of vertex {v} out of range")
-            if len(set(ps)) != len(ps):
-                raise ValidationError(f"duplicate parent in set of vertex {v}")
-            norm.append(ps)
-        object.__setattr__(self, "parents", tuple(norm))
+        norm = tuple(tuple(sorted(ps)) for ps in self.parents)
+        for v, ps in enumerate(norm):
+            check_parents(v, ps, self.m)
+        object.__setattr__(self, "parents", norm)
 
     @classmethod
     def _canonical(cls, m: int, parents: tuple[tuple[int, ...], ...]) -> "Dag":

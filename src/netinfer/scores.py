@@ -17,6 +17,9 @@ Score kinds
 ``aic``/``bic``/``ml``  information criteria on discretized data:
          -N * sum_i H(next_i | own past, parent pasts) - f(N) * C(G), with
          f(N) = 1, log2(N)/2 and 0 respectively.
+
+``tea`` and ``tee`` test at the ``Scorer``'s one ``alpha``. A cache miss of
+``Scorer.local`` checks the parent set with :func:`graph.check_parents`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import ValidationError
@@ -35,10 +38,11 @@ from .estimators import (
     history,
     next_value,
 )
-from .graph import Dag, is_acyclic
+from .graph import Dag, check_parents, check_vertex_count, is_acyclic
 from .significance import (
     Chi2Params,
     SurrogateConfig,
+    check_alpha,
     chi2_quantile,
     derive_seed,
     empirical_quantile,
@@ -145,23 +149,29 @@ class Scorer:
             raise ValidationError(f"unknown score kind {score_kind!r}")
         if estimator is None:
             estimator = EstimatorKind.discrete_plugin()
-        if score_kind == "tea":
-            if estimator.method == "box-kernel":
-                raise ValidationError(
-                    "tea needs an analytic null distribution; the box-kernel "
-                    "estimator has none (use tee instead)"
-                )
-            if not 0.0 < alpha < 1.0:
-                raise ValidationError("alpha must lie in (0, 1)")
+        if score_kind == "tea" and estimator.method == "box-kernel":
+            raise ValidationError(
+                "tea needs an analytic null distribution; the box-kernel "
+                "estimator has none (use tee instead)"
+            )
         if score_kind in IC_KINDS and estimator.method != "discrete-plugin":
             raise ValidationError(
                 f"{score_kind} requires the discrete-plugin estimator on "
                 "discretized data (parameter counts need finite alphabets)"
             )
+        if score_kind in ("tea", "tee"):
+            check_alpha(alpha)
         if score_kind == "tee":
             if surrogates is None:
                 raise ValidationError("tee requires a SurrogateConfig")
-            alpha = surrogates.alpha
+            recommended = math.ceil(alpha / (1.0 - alpha))
+            if surrogates.count < recommended:
+                warnings.warn(
+                    f"surrogate count {surrogates.count} is below the "
+                    f"recommended minimum ceil(alpha/(1-alpha)) = {recommended} "
+                    f"for alpha = {alpha}",
+                    stacklevel=2,
+                )
         self.view = view
         self.score_kind = score_kind
         self.estimator = estimator
@@ -189,23 +199,17 @@ class Scorer:
         return conditional_entropy(next_value(vertex), conds,
                                    self.view, self.estimator)
 
-    def _te(self, vertex: int, parents: tuple[int, ...]) -> float:
-        if not parents:
-            return 0.0
-        return self._own_entropy(vertex) - self._full_entropy(vertex, parents)
-
     def _tea_penalty(self, vertex: int, parents: tuple[int, ...]) -> float:
         view = self.view
+        kappa = [view.kappa(s) for s in range(view.m_total)]
         if self.estimator.method == "discrete-plugin":
             alphabet = [view.alphabet(s) for s in range(view.m_total)]
-            kappa = [view.kappa(s) for s in range(view.m_total)]
             # conservative: the ordering that maximizes the total penalty is
             # descending embedded-alphabet size
             order = sorted(parents,
                            key=lambda j: (-(alphabet[j] ** kappa[j]), j))
             _, per_source = te_degrees_of_freedom(vertex, order, kappa, alphabet)
         else:
-            kappa = [view.kappa(s) for s in range(view.m_total)]
             _, per_source = gaussian_te_degrees_of_freedom(parents, kappa)
         return sum(chi2_quantile(Chi2Params(l, self.alpha)) for l in per_source)
 
@@ -231,13 +235,8 @@ class Scorer:
         key = (vertex, parents)
         cached = self.cache.get(key)
         if cached is None:
-            # a key that fails these checks is never stored, so a hit needs none
-            for s in (vertex, *parents):
-                self.view.check_subsystem(s)
-            if vertex in parents:
-                raise ValidationError("vertex cannot be its own parent")
-            if len(set(parents)) < len(parents):
-                raise ValidationError(f"repeated parent in {parents}")
+            # a key that fails the check is never stored, so a hit needs none
+            check_parents(vertex, parents, self.view.m_total)
             cached = self._compute_local(vertex, parents)
             self.cache.put(key, cached)
         return cached
@@ -252,39 +251,27 @@ class Scorer:
             local = -self.n_effective * h_full - penalty
             return LocalScore(te=te, penalty=penalty, local=local)
 
-        te = self._te(vertex, parents)
         if not parents:
             return LocalScore(te=0.0, penalty=0.0, local=0.0)
+        te = self._own_entropy(vertex) - self._full_entropy(vertex, parents)
         if kind == "te":
             return LocalScore(te=te, penalty=0.0, local=te)
         if kind == "tea":
             penalty = self._tea_penalty(vertex, parents)
             stat = te_statistic(te, self.n_effective)
             return LocalScore(te=te, penalty=penalty, local=stat - penalty)
-        # tee: deterministic surrogate population per (vertex, parent set);
-        # the user's config was already validated, so silence the repeat
-        # low-count warning from the derived copy
+        # tee: deterministic surrogate population per (vertex, parent set)
         cfg = self.surrogates
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            derived = SurrogateConfig(
-                count=cfg.count,
-                alpha=cfg.alpha,
-                method=cfg.method,
-                seed=derive_seed(cfg.seed, "vertex", vertex, parents),
-            )
-        samples = surrogate_te_samples(vertex, parents, self.view,
-                                       self.estimator, derived)
-        quantile = empirical_quantile(samples, cfg.alpha)
+        samples = surrogate_te_samples(
+            vertex, parents, self.view, self.estimator,
+            replace(cfg, seed=derive_seed(cfg.seed, "vertex", vertex, parents)))
+        quantile = empirical_quantile(samples, self.alpha)
         return LocalScore(te=te, penalty=quantile, local=te - quantile)
 
     # -- whole graphs ----------------------------------------------------
 
     def score(self, graph: Dag) -> ScoreReport:
-        if graph.m != self.view.m_total:
-            raise ValidationError(
-                f"graph has {graph.m} vertices but the data has {self.view.m_total}"
-            )
+        check_vertex_count(graph, self.view.m_total)
         if not is_acyclic(graph):
             raise ValidationError("scores are defined over acyclic graphs only")
         per_vertex = []

@@ -9,15 +9,17 @@ Empirical side: surrogate transfer-entropy populations built by permuting
 (or bootstrap-resampling) the joint source-history rows across time while
 the destination stays fixed, which preserves every marginal and the
 inter-source structure but removes the source-destination association.
+
+Both tests run at the ``Scorer``'s one alpha, range-checked by
+:func:`check_alpha`; sources are checked by :func:`graph.check_parents`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammainc, gammaincinv
@@ -25,10 +27,17 @@ from scipy.special import gammainc, gammaincinv
 from ._threads import parallel_map
 from .errors import NumericError, ValidationError
 from .estimators import EstimatorKind, resampled_source_entropy
-from .timeseries import EmbeddedView, EmbeddingSpec
+from .graph import check_parents
+from .timeseries import EmbeddedView
 
 _DF_LIMIT = 2 ** 63 - 1
 LN2 = math.log(2.0)
+
+
+def check_alpha(alpha: float):
+    """The one range check of a significance level: 0 < alpha < 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError("alpha must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -39,36 +48,24 @@ class Chi2Params:
     def __post_init__(self):
         if self.df < 1:
             raise ValidationError("degrees of freedom must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError("alpha must lie in (0, 1)")
+        check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
 class SurrogateConfig:
-    """Resampling plan for the empirical independence test."""
+    """Resampling plan for the surrogate test (its level is the Scorer's alpha)."""
 
     count: int
-    alpha: float
     method: str = "permutation"
     seed: int = 0
 
     def __post_init__(self):
         if self.count < 1:
             raise ValidationError("surrogate count must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError("alpha must lie in (0, 1)")
         if self.method not in ("permutation", "bootstrap"):
             raise ValidationError(f"unknown surrogate method {self.method!r}")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        recommended = math.ceil(self.alpha / (1.0 - self.alpha))
-        if self.count < recommended:
-            warnings.warn(
-                f"surrogate count {self.count} is below the recommended "
-                f"minimum ceil(alpha/(1-alpha)) = {recommended} for "
-                f"alpha = {self.alpha}",
-                stacklevel=2,
-            )
 
 
 def te_statistic(te_bits: float, n_effective: int) -> float:
@@ -87,7 +84,7 @@ def chi2_cdf(df: int, x: float) -> float:
 
 
 def te_degrees_of_freedom(dest: int, sources: Sequence[int],
-                          spec: Union[EmbeddingSpec, Sequence[int]],
+                          kappa: Sequence[int],
                           alphabet: Sequence[int]) -> tuple[int, list[int]]:
     """Degrees of freedom of the discrete transfer-entropy test.
 
@@ -97,11 +94,7 @@ def te_degrees_of_freedom(dest: int, sources: Sequence[int],
     source order and telescopes to the total:
     l_j = (r_d - 1) (r_j^k_j - 1) r_d^k_d * prod_{k<j} r_k^k_k.
     """
-    kappa = spec.kappa if isinstance(spec, EmbeddingSpec) else tuple(spec)
-    if dest in sources:
-        raise ValidationError("destination cannot be one of its sources")
-    if not sources:
-        return 0, []
+    check_parents(dest, sources, len(kappa))
     r_d = int(alphabet[dest])
     base = (r_d - 1) * r_d ** int(kappa[dest])
     per_source: list[int] = []
@@ -120,11 +113,10 @@ def te_degrees_of_freedom(dest: int, sources: Sequence[int],
 
 
 def gaussian_te_degrees_of_freedom(sources: Sequence[int],
-                                   spec: Union[EmbeddingSpec, Sequence[int]],
+                                   kappa: Sequence[int],
                                    ) -> tuple[int, list[int]]:
     """Degrees of freedom for the linearly-coupled Gaussian test: each
     source contributes its embedded block size kappa_j (added regressors)."""
-    kappa = spec.kappa if isinstance(spec, EmbeddingSpec) else tuple(spec)
     per_source = [int(kappa[j]) for j in sources]
     return sum(per_source), per_source
 
@@ -157,8 +149,7 @@ def surrogate_te_samples(dest: int, sources, view: EmbeddedView,
     sources = tuple(sources)
     if not sources:
         raise ValidationError("surrogate test needs a non-empty source set")
-    if dest in sources:
-        raise ValidationError("destination cannot be one of its sources")
+    check_parents(dest, sources, view.m_total)
     h_self, block, h_full = resampled_source_entropy(dest, sources, view, kind)
 
     def one(i: int) -> float:
@@ -173,8 +164,7 @@ def empirical_quantile(samples: Sequence[float], alpha: float) -> float:
     order statistic, no interpolation)."""
     if len(samples) == 0:
         raise ValidationError("empirical quantile of an empty sample")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     ordered = np.sort(np.asarray(samples, dtype=float))
     # tolerance keeps exact multiples like 0.95*20 from rounding up a rank
     rank = math.ceil(alpha * len(ordered) - 1e-9)

@@ -11,11 +11,18 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.spatial import cKDTree
 
 import netinfer as ni
 from netinfer.estimators import history, next_value
 from netinfer.significance import derive_seed
+
+# Property tests draw the same examples on every run, so a counterexample
+# fails every run instead of now and then; each test keeps its own
+# max_examples.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 # ---------------------------------------------------------------------------

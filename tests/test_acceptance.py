@@ -146,8 +146,8 @@ def test_criterion_5_tee_null_calibration():
         sym = rng.integers(0, 4, size=(2, 1000))
         disc = ni.DiscretizedSeries.from_symbols(sym, (4, 4))
         view = ni.delay_embed(disc, ni.EmbeddingSpec.uniform(2, 1, 1))
-        surr = ni.SurrogateConfig(count=19, alpha=0.95, seed=trial)
-        sc = ni.Scorer(view, "tee", DISCRETE, surrogates=surr)
+        surr = ni.SurrogateConfig(count=19, seed=trial)
+        sc = ni.Scorer(view, "tee", DISCRETE, alpha=0.95, surrogates=surr)
         rejections += sc.local(1, (0,)).local > 0
     discrete_rate = rejections / trials
     assert 0.03 <= discrete_rate <= 0.07
@@ -157,9 +157,9 @@ def test_criterion_5_tee_null_calibration():
         rng = np.random.default_rng(20_000 + trial)
         ts = ni.TimeSeriesSet.from_columns(rng.standard_normal((2, 400)))
         view = ni.delay_embed(ts, ni.EmbeddingSpec.uniform(2, 1, 1))
-        surr = ni.SurrogateConfig(count=19, alpha=0.95, seed=trial)
+        surr = ni.SurrogateConfig(count=19, seed=trial)
         sc = ni.Scorer(view, "tee", ni.EstimatorKind.box_kernel(0.3),
-                       surrogates=surr)
+                       alpha=0.95, surrogates=surr)
         rejections += sc.local(1, (0,)).local > 0
     box_rate = rejections / trials
     assert 0.03 <= box_rate <= 0.07
@@ -179,8 +179,8 @@ def test_criterion_6_structure_recovery():
         out = simulate_chain(3, seed=seed)
         disc = ni.discretize(out.observations, 8)
         view = ni.delay_embed(disc, ni.EmbeddingSpec.uniform(3, 1, 2))
-        surr = ni.SurrogateConfig(count=19, alpha=0.95, seed=seed)
-        sc = ni.Scorer(view, "tee", DISCRETE, surrogates=surr)
+        surr = ni.SurrogateConfig(count=19, seed=seed)
+        sc = ni.Scorer(view, "tee", DISCRETE, alpha=0.95, surrogates=surr)
         tee_hits += exhaustive_search(sc).best.edges() == truth_edges
     tee_elapsed = time.monotonic() - start
     assert tee_hits >= 8

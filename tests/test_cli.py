@@ -277,6 +277,37 @@ def test_infer_exhaustive_te_warning_names_no_cap(tmp_path, simulated, capsys):
     assert "complete graph" in err and "--max-parents" not in err
 
 
+def test_infer_greedy_te_warning_names_the_cap(tmp_path, capsys):
+    # five vertices: the "auto" cap of 3 parents binds below the four possible
+    doc = json.loads(_chain_config(tmp_path).read_text(encoding="utf-8"))
+    doc["names"] = ["V1", "V2", "V3", "V4", "V5"]
+    doc["edges"] = [["V1", "V2"], ["V2", "V3"], ["V3", "V4"], ["V4", "V5"]]
+    cfg = tmp_path / "chain5.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "sim")]) == 0
+    out = tmp_path / "run"
+    assert main(["infer", "--data", str(tmp_path / "sim" / "data.csv"),
+                 "--out-dir", str(out), "--search", "greedy",
+                 "--score", "te", "--bins", "4"]) == 0
+    err = capsys.readouterr().err
+    assert "complete graph" in err and "capped at 3 parents per vertex" in err
+    inferred, _ = ni.dag_from_dot((out / "inferred.dot").read_text())
+    assert max(len(ps) for ps in inferred.parents) == 3
+
+
+def test_infer_low_surrogate_count_warns_in_one_line(tmp_path, simulated):
+    proc = subprocess.run(
+        [sys.executable, "-m", "netinfer", "infer", "--data",
+         str(simulated / "data.csv"), "--out-dir", str(tmp_path / "run"),
+         "--score", "tee", "--bins", "4", "--surrogates", "5", "--alpha", "0.95"],
+        capture_output=True, text=True, env=cli_env(),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("warning: surrogate count 5 is below the "
+                                  "recommended minimum")
+
+
 def test_infer_outputs_validate_against_schemas(tmp_path, simulated):
     jsonschema = pytest.importorskip("jsonschema")
     out = tmp_path / "run"

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +10,15 @@ import pytest
 import netinfer as ni
 from netinfer.errors import ValidationError
 from netinfer.graph import random_dag
-from netinfer.significance import te_statistic
+from netinfer.significance import derive_seed, te_statistic
 
 from conftest import chain_dag, random_discrete_view
 
 DISCRETE = ni.EstimatorKind.discrete_plugin()
 
 
-def _tee_cfg(seed=0, count=19, alpha=0.95):
-    return ni.SurrogateConfig(count=count, alpha=alpha, seed=seed)
+def _tee_cfg(seed=0, count=19):
+    return ni.SurrogateConfig(count=count, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +75,34 @@ def test_scores_reject_cyclic_graph():
     cyclic = ni.Dag(2, ((1,), (0,)))
     with pytest.raises(ValidationError, match="acyclic"):
         ni.Scorer(view, "te", DISCRETE).score(cyclic)
+
+
+@pytest.mark.parametrize("kind", ["tea", "tee"])
+@pytest.mark.parametrize("alpha", [7.0, 1.0])
+def test_tea_and_tee_reject_alpha_outside_unit_interval(kind, alpha):
+    view = random_discrete_view(2, 300, 2, seed=3)
+    with pytest.raises(ValidationError, match="alpha must lie in"):
+        ni.Scorer(view, kind, DISCRETE, alpha=alpha, surrogates=_tee_cfg())
+
+
+def test_tee_reads_its_quantile_at_the_scorer_alpha():
+    view = random_discrete_view(2, 500, 3, seed=18)
+    cfg = _tee_cfg(seed=2)
+    sc = ni.Scorer(view, "tee", DISCRETE, alpha=0.5, surrogates=cfg)
+    assert sc.alpha == 0.5 and sc.score(ni.Dag.empty(2)).alpha == 0.5
+    own = replace(cfg, seed=derive_seed(cfg.seed, "vertex", 1, (0,)))
+    samples = ni.surrogate_te_samples(1, (0,), view, DISCRETE, own)
+    assert sc.local(1, (0,)).penalty == ni.empirical_quantile(samples, 0.5)
+
+
+def test_tee_scorer_warns_below_recommended_count():
+    view = random_discrete_view(2, 300, 2, seed=1)
+    with pytest.warns(UserWarning, match="recommended"):
+        sc = ni.Scorer(view, "tee", DISCRETE, alpha=0.95, surrogates=_tee_cfg(count=5))
+    with warnings.catch_warnings():  # once, at construction: not per population
+        warnings.simplefilter("error")
+        sc.local(1, (0,))
+        ni.Scorer(view, "tee", DISCRETE, alpha=0.95, surrogates=_tee_cfg(count=19))
 
 
 def test_tea_rejects_box_kernel():
@@ -271,6 +301,21 @@ def test_local_rejects_repeated_parents(kind):
         with pytest.raises(ValidationError, match="repeated parent"):
             sc.local(1, parents)
     assert sc.cache.hits == 0
+
+
+@pytest.mark.parametrize("parents", [(0, 0), (1,), (3,), (-1,)])
+def test_parent_set_rule_shared_by_scores_estimators_and_tests(parents):
+    view = random_discrete_view(3, 300, 2, seed=17)
+    with pytest.raises(ValidationError) as expected:
+        ni.Scorer(view, "te", DISCRETE).local(1, parents)
+    for call in (
+        lambda: ni.collective_transfer_entropy(1, parents, view, DISCRETE),
+        lambda: ni.surrogate_te_samples(1, parents, view, DISCRETE, _tee_cfg()),
+        lambda: ni.te_degrees_of_freedom(1, parents, (2, 2, 2), (4, 4, 4)),
+    ):
+        with pytest.raises(ValidationError) as got:
+            call()
+        assert str(got.value) == str(expected.value)
 
 
 def test_decomposability_cached_equals_fresh():

@@ -82,7 +82,7 @@ def test_greedy_on_zero_te_data_returns_empty():
         np.vstack([sym, np.roll(sym, 1), sym]), (2, 2, 2))
     view = ni.delay_embed(disc, ni.EmbeddingSpec.uniform(3, 1, 1))
     for kind, kw in (("tea", {"alpha": 0.95}),
-                     ("tee", {"surrogates": ni.SurrogateConfig(19, 0.95, seed=0)})):
+                     ("tee", {"surrogates": ni.SurrogateConfig(19, seed=0)})):
         sc = ni.Scorer(view, kind, DISCRETE, **kw)
         result = greedy_hill_climb(sc, SearchConfig(seed=0))
         assert result.best.n_edges == 0
@@ -177,7 +177,7 @@ _SEARCH_VIEWS = {
 @pytest.mark.parametrize("score_kind", ["te", "tea", "tee", "bic"])
 @pytest.mark.parametrize("dataset", sorted(_SEARCH_VIEWS))
 def test_exhaustive_matches_reference_search(dataset, score_kind):
-    kw = {"surrogates": ni.SurrogateConfig(19, 0.95, seed=4)} if score_kind == "tee" else {}
+    kw = {"surrogates": ni.SurrogateConfig(19, seed=4)} if score_kind == "tee" else {}
     sc = ni.Scorer(_SEARCH_VIEWS[dataset](), score_kind, DISCRETE, **kw)
     ref_best, ref_visited = reference_exhaustive_search(sc, _TIE_EPS)
     result = exhaustive_search(sc)

@@ -127,19 +127,14 @@ def test_te_statistic_scale():
 
 def test_surrogate_count_contract():
     view = random_discrete_view(2, 300, 2, seed=1)
-    cfg = ni.SurrogateConfig(count=1, alpha=0.5, seed=0)
+    cfg = ni.SurrogateConfig(count=1, seed=0)
     samples = ni.surrogate_te_samples(0, [1], view, DISCRETE, cfg)
     assert len(samples) == 1
 
 
-def test_surrogate_config_warns_below_recommended_count():
-    with pytest.warns(UserWarning, match="recommended"):
-        ni.SurrogateConfig(count=5, alpha=0.95, seed=0)
-
-
 def test_surrogate_requires_sources():
     view = random_discrete_view(2, 300, 2, seed=2)
-    cfg = ni.SurrogateConfig(count=3, alpha=0.5, seed=0)
+    cfg = ni.SurrogateConfig(count=3, seed=0)
     with pytest.raises(ValidationError):
         ni.surrogate_te_samples(0, [], view, DISCRETE, cfg)
 
@@ -169,7 +164,7 @@ def test_resample_rows_equals_indexing_with_the_index_draw(method, block):
 
 def test_surrogates_deterministic_and_order_free():
     view = random_discrete_view(2, 500, 3, seed=4)
-    cfg = ni.SurrogateConfig(count=25, alpha=0.9, seed=77)
+    cfg = ni.SurrogateConfig(count=25, seed=77)
     first = ni.surrogate_te_samples(0, [1], view, DISCRETE, cfg)
     second = ni.surrogate_te_samples(0, [1], view, DISCRETE, cfg)
     assert first == second
@@ -180,7 +175,7 @@ def test_surrogates_deterministic_and_order_free():
 @pytest.mark.parametrize("method", ["permutation", "bootstrap"])
 def test_surrogates_bit_identical_to_reference(bins, kappa, method):
     view = random_discrete_view(4, 1500, bins, seed=10 * bins + kappa, kappa=kappa)
-    cfg = ni.SurrogateConfig(count=5, alpha=0.5, method=method, seed=bins + kappa)
+    cfg = ni.SurrogateConfig(count=5, method=method, seed=bins + kappa)
     for k in (1, 2, 3):
         sources = tuple(range(1, 1 + k))
         got = ni.surrogate_te_samples(0, sources, view, DISCRETE, cfg)
@@ -196,7 +191,7 @@ def test_surrogates_sort_fallback_bit_identical(method):
     sources = np.hstack([view.history(1), view.history(2)])
     assert (len(np.unique(pairs, axis=0)) * len(np.unique(sources, axis=0))
             > _BINCOUNT_CAP)
-    cfg = ni.SurrogateConfig(count=5, alpha=0.5, method=method, seed=4)
+    cfg = ni.SurrogateConfig(count=5, method=method, seed=4)
     got = ni.surrogate_te_samples(0, (1, 2), view, DISCRETE, cfg)
     assert got == reference_surrogate_te_samples(0, (1, 2), view, cfg)
 
@@ -210,14 +205,14 @@ def test_surrogates_bincount_above_old_cap_bit_identical(method):
     sources = np.hstack([view.history(1), view.history(2)])
     joined = len(np.unique(pairs, axis=0)) * len(np.unique(sources, axis=0))
     assert 2 ** 16 < joined <= _BINCOUNT_CAP
-    cfg = ni.SurrogateConfig(count=5, alpha=0.5, method=method, seed=6)
+    cfg = ni.SurrogateConfig(count=5, method=method, seed=6)
     got = ni.surrogate_te_samples(0, (1, 2), view, DISCRETE, cfg)
     assert got == reference_surrogate_te_samples(0, (1, 2), view, cfg)
 
 
 def test_surrogates_independent_of_thread_count(monkeypatch):
     view = random_discrete_view(3, 2000, 8, seed=9, kappa=2)
-    cfg = ni.SurrogateConfig(count=40, alpha=0.9, seed=5)
+    cfg = ni.SurrogateConfig(count=40, seed=5)
     runs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("NETINFER_THREADS", threads)
@@ -230,7 +225,7 @@ def test_surrogates_independent_of_thread_count(monkeypatch):
 def test_box_surrogates_bit_identical_to_reference(monkeypatch, method, threads):
     out = simulate_chain(3, seed=31, n=500)
     view = ni.delay_embed(out.observations, ni.EmbeddingSpec.uniform(3, 1, 2))
-    cfg = ni.SurrogateConfig(count=6, alpha=0.5, method=method, seed=8)
+    cfg = ni.SurrogateConfig(count=6, method=method, seed=8)
     monkeypatch.setenv("NETINFER_THREADS", threads)
     for sources in ((0,), (0, 2)):
         got = ni.surrogate_te_samples(1, sources, view,
@@ -241,7 +236,7 @@ def test_box_surrogates_bit_identical_to_reference(monkeypatch, method, threads)
 def test_null_measurement_is_one_more_draw():
     # independent streams: the measured TE sits inside the surrogate spread
     view = random_discrete_view(2, 2000, 3, seed=5)
-    cfg = ni.SurrogateConfig(count=500, alpha=0.95, seed=6)
+    cfg = ni.SurrogateConfig(count=500, seed=6)
     samples = np.asarray(ni.surrogate_te_samples(1, [0], view, DISCRETE, cfg))
     measured = ni.collective_transfer_entropy(1, [0], view, DISCRETE)
     assert abs(measured - samples.mean()) < 2.0 * samples.std()
@@ -253,7 +248,7 @@ def test_coupled_measurement_beats_quantile():
         out = simulate_chain(2, seed=800 + trial, n=2000)
         disc = ni.discretize(out.observations, 4)
         view = ni.delay_embed(disc, ni.EmbeddingSpec.uniform(2, 1, 1))
-        cfg = ni.SurrogateConfig(count=19, alpha=0.95, seed=trial)
+        cfg = ni.SurrogateConfig(count=19, seed=trial)
         samples = ni.surrogate_te_samples(1, [0], view, DISCRETE, cfg)
         measured = ni.collective_transfer_entropy(1, [0], view, DISCRETE)
         hits += measured > ni.empirical_quantile(samples, 0.95)
@@ -262,7 +257,7 @@ def test_coupled_measurement_beats_quantile():
 
 def test_bootstrap_runs():
     view = random_discrete_view(2, 400, 2, seed=7)
-    cfg = ni.SurrogateConfig(count=10, alpha=0.5, method="bootstrap", seed=8)
+    cfg = ni.SurrogateConfig(count=10, method="bootstrap", seed=8)
     samples = ni.surrogate_te_samples(0, [1], view, DISCRETE, cfg)
     assert len(samples) == 10
     assert all(np.isfinite(samples))
@@ -301,7 +296,7 @@ def test_quantile_empty_rejected():
 
 def test_negative_seed_rejected():
     with pytest.raises(ValidationError, match="seed"):
-        ni.SurrogateConfig(count=19, alpha=0.95, seed=-1)
+        ni.SurrogateConfig(count=19, seed=-1)
 
 
 @settings(deadline=None, max_examples=60)
