@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import NumericError, ValidationError
 from .graph import Dag, check_parents, check_vertex_count
@@ -212,6 +211,7 @@ def _box_counts(w: np.ndarray, z: np.ndarray, width: float):
     x0. Floating-point subtraction is monotone, so that stop never drops a
     pair the max-norm admits, and the counts are exact.
     """
+    from scipy.spatial import cKDTree  # here: its ~0.5 s import only when used
     n = z.shape[0]
     x = w if w.shape[1] else z
     order = np.argsort(x[:, 0], kind="stable")

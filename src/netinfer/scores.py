@@ -18,8 +18,10 @@ Score kinds
          -N * sum_i H(next_i | own past, parent pasts) - f(N) * C(G), with
          f(N) = 1, log2(N)/2 and 0 respectively.
 
-``tea`` and ``tee`` test at the ``Scorer``'s one ``alpha``. A cache miss of
-``Scorer.local`` checks the parent set with :func:`graph.check_parents`.
+``tea`` and ``tee`` test at the ``Scorer``'s one ``alpha``. ``Scorer.local``
+returns the memo entry of a ``parents`` tuple that is already a stored key
+(the search's sorted tuples) as it stands; other input is sorted and made
+ints first. A miss checks it with :func:`graph.check_parents`.
 """
 
 from __future__ import annotations
@@ -117,24 +119,14 @@ class ScoreReport:
 
 
 class LocalScoreCache:
-    """Memo of one scorer's local scores, keyed by (vertex, parents), with
-    hit and miss counts. It has no lock: a ``Scorer`` serves one thread."""
+    """Memo of one scorer's local scores, keyed by (vertex, parents) with
+    parents a sorted tuple of ints, with hit and miss counts. It has no
+    lock: a ``Scorer`` serves one thread."""
 
     def __init__(self):
-        self._store: dict = {}
+        self.store: dict = {}
         self.hits = 0
         self.misses = 0
-
-    def get(self, key):
-        found = self._store.get(key)
-        if found is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return found
-
-    def put(self, key, value: LocalScore):
-        self._store[key] = value
 
 
 class Scorer:
@@ -231,15 +223,22 @@ class Scorer:
     # -- local scores ------------------------------------------------------
 
     def local(self, vertex: int, parents: Sequence[int]) -> LocalScore:
-        parents = tuple(sorted(int(p) for p in parents))
-        key = (vertex, parents)
-        cached = self.cache.get(key)
-        if cached is None:
-            # a key that fails the check is never stored, so a hit needs none
-            check_parents(vertex, parents, self.view.m_total)
-            cached = self._compute_local(vertex, parents)
-            self.cache.put(key, cached)
-        return cached
+        cache = self.cache
+        # the search passes sorted tuples: one already stored is a hit as is
+        found = (cache.store.get((vertex, parents))
+                 if type(parents) is tuple else None)
+        if found is None:
+            parents = tuple(sorted(int(p) for p in parents))
+            key = (vertex, parents)
+            found = cache.store.get(key)
+        if found is not None:
+            cache.hits += 1
+            return found
+        cache.misses += 1
+        # a key that fails the check is never stored, so a hit needs none
+        check_parents(vertex, parents, self.view.m_total)
+        found = cache.store[key] = self._compute_local(vertex, parents)
+        return found
 
     def _compute_local(self, vertex: int, parents: tuple[int, ...]) -> LocalScore:
         kind = self.score_kind

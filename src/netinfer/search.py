@@ -90,8 +90,12 @@ def exhaustive_search(scorer: Scorer) -> SearchResult:
     best_total = -np.inf
     best_edges = None
     visited = 0
+    local = scorer.local
     for graph in enumerate_dags(m):
-        total = sum(scorer.local(v, graph.parents[v]).local for v in range(m))
+        parents = graph.parents
+        total = 0
+        for v in range(m):
+            total += local(v, parents[v]).local
         visited += 1
         if best is not None and total < best_total - _TIE_EPS:
             continue  # below the tie window _better is False whatever the edges

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
 
 from ._threads import parallel_map
 from .errors import NumericError, ValidationError
@@ -76,10 +75,12 @@ def te_statistic(te_bits: float, n_effective: int) -> float:
 def chi2_quantile(p: Chi2Params) -> float:
     """x with CDF_{chi2(df)}(x) = alpha, via the inverse regularized lower
     incomplete gamma function."""
+    from scipy.special import gammaincinv  # here: simulate and eval never load it
     return float(2.0 * gammaincinv(p.df / 2.0, p.alpha))
 
 
 def chi2_cdf(df: int, x: float) -> float:
+    from scipy.special import gammainc  # here: simulate and eval never load it
     return float(gammainc(df / 2.0, x / 2.0))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence, Union
 
 import numpy as np
@@ -178,7 +179,7 @@ class EmbeddedView:
     def m_total(self) -> int:
         return len(self.names)
 
-    def check_subsystem(self, subsystem: int) -> int:
+    def _check_subsystem(self, subsystem: int) -> int:
         """Return ``subsystem`` if it indexes one of the M subsystems; a
         negative index would otherwise quietly read from the end."""
         if not 0 <= subsystem < len(self.names):
@@ -189,10 +190,10 @@ class EmbeddedView:
         return subsystem
 
     def target(self, subsystem: int) -> np.ndarray:
-        return self.targets[:, self.check_subsystem(subsystem)]
+        return self.targets[:, self._check_subsystem(subsystem)]
 
     def history(self, subsystem: int) -> np.ndarray:
-        return self.histories[self.check_subsystem(subsystem)]
+        return self.histories[self._check_subsystem(subsystem)]
 
     def kappa(self, subsystem: int) -> int:
         return self.history(subsystem).shape[1]
@@ -200,7 +201,7 @@ class EmbeddedView:
     def alphabet(self, subsystem: int) -> int:
         if not self.discrete or self.alphabet_sizes is None:
             raise ValidationError("view is not discrete")
-        return self.alphabet_sizes[self.check_subsystem(subsystem)]
+        return self.alphabet_sizes[self._check_subsystem(subsystem)]
 
     def symbol_ids(self, role: str, subsystem: int) -> tuple[np.ndarray, int]:
         """Dense per-row ids 0..k-1 of a subsystem's "next" (target) or
@@ -219,11 +220,13 @@ class EmbeddedView:
 def load_csv(path) -> TimeSeriesSet:
     """Read an observation dataset from CSV (header row, '.' decimals).
 
-    Column order defines the subsystem index order. Every malformed cell is
-    reported with its one-based row number and column name.
+    Column order defines the subsystem index order. A UTF-8 byte order mark,
+    as spreadsheet programs write, is dropped. The first malformed row or
+    cell, row by row and left to right, is reported with its one-based row
+    number and column name.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
     except (OSError, UnicodeDecodeError) as exc:
@@ -240,30 +243,37 @@ def load_csv(path) -> TimeSeriesSet:
     if not body:
         raise DataFormatError(f"{path}: empty body")
     m = len(header)
-    data = np.empty((len(body), m), dtype=float)
-    for r, cells in enumerate(body, start=2):
-        if len(cells) != m:
-            raise DataFormatError(
-                f"{path}: row {r} has {len(cells)} cells, expected {m}"
-            )
-        for c, cell in enumerate(cells):
-            try:
-                if "_" in cell:  # float() tolerates 1_000; the format does not
-                    raise ValueError
-                val = float(cell)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: row {r}, column {header[c]!r}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
-            if not np.isfinite(val):
-                raise DataFormatError(
-                    f"{path}: row {r}, column {header[c]!r}: non-finite value {cell!r}"
-                )
-            data[r - 2, c] = val
+    try:
+        if set(map(len, body)) != {m}:
+            raise ValueError
+        data = np.fromiter(map(float, chain.from_iterable(body)), dtype=float,
+                           count=len(body) * m)
+        # float() tolerates 1_000; the format does not
+        if "_" in "".join(chain.from_iterable(body)) or not np.isfinite(data).all():
+            raise ValueError
+    except ValueError:
+        raise DataFormatError(_first_fault(path, header, body)) from None
     if len(body) < 2:
         raise DataFormatError(f"{path}: need at least two data rows")
-    return TimeSeriesSet(data.T, tuple(header))
+    return TimeSeriesSet(data.reshape(len(body), m).T, tuple(header))
+
+
+def _first_fault(path, header: list[str], body: list[list[str]]) -> str:
+    """The message for the first row of the wrong length or bad cell."""
+    for r, cells in enumerate(body, start=2):
+        if len(cells) != len(header):
+            return f"{path}: row {r} has {len(cells)} cells, expected {len(header)}"
+        for name, cell in zip(header, cells):
+            try:
+                if "_" in cell:
+                    raise ValueError
+                finite = np.isfinite(float(cell))
+            except ValueError:
+                return (f"{path}: row {r}, column {name!r}: "
+                        f"cannot parse {cell!r} as a number")
+            if not finite:
+                return f"{path}: row {r}, column {name!r}: non-finite value {cell!r}"
+    raise AssertionError("no faulty row or cell")
 
 
 def csv_text(ts: TimeSeriesSet) -> str:

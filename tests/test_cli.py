@@ -97,6 +97,32 @@ def test_simulate_same_seed_byte_identical(tmp_path):
     assert (a / "truth.dot").read_bytes() == (b / "truth.dot").read_bytes()
 
 
+def test_importing_the_cli_loads_no_scipy_module():
+    # simulate, eval and discrete te/tee use neither; scipy.spatial alone
+    # takes about half a second to import
+    code = ("import sys, netinfer.cli; print([m for m in sys.modules "
+            "if m in ('scipy.spatial', 'scipy.special')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=cli_env(), check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_infer_reads_a_csv_with_a_byte_order_mark(tmp_path):
+    doc = json.loads(_chain_config(tmp_path).read_text(encoding="utf-8"))
+    doc["names"], doc["edges"] = ["V1", "V2"], [["V1", "V2"]]
+    cfg = tmp_path / "pair.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(sim)]) == 0
+    data = sim / "data.csv"
+    data.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())  # as Excel saves it
+    out = tmp_path / "run"
+    assert main(["infer", "--data", str(data), "--out-dir", str(out),
+                 "--score", "tea", "--bins", "4"]) == 0
+    assert main(["eval", "--inferred", str(out / "inferred.dot"),
+                 "--truth", str(sim / "truth.dot")]) == 0
+
+
 def test_simulate_outputs_validate_against_schemas(tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
     cfg = _chain_config(tmp_path)

@@ -284,6 +284,20 @@ def test_cache_hit_skips_recomputation():
     assert sc.cache.hits >= 1
 
 
+def test_local_returns_one_entry_for_every_spelling_of_a_parent_set():
+    sc = ni.Scorer(random_discrete_view(3, 500, 2, seed=11), "tea", DISCRETE)
+    first = sc.local(1, (0, 2))
+    spellings = [(0, 2), (2, 0), [0, 2], [2, 0], (np.int64(0), np.int64(2)),
+                 np.array([2, 0]), (0.0, 2)]
+    for parents in spellings:
+        assert sc.local(1, parents) is first
+    # a rejected canonical tuple takes the miss path each time, never a hit
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="self-loop"):
+            sc.local(1, (1,))
+    assert (sc.cache.hits, sc.cache.misses) == (len(spellings), 3)
+
+
 @pytest.mark.parametrize("kind", ["te", "bic"])
 @pytest.mark.parametrize("vertex, parents", [(3, ()), (-1, ()), (0, (3,)),
                                              (0, (-1,)), (1, (0, 3))])

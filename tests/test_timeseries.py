@@ -1,3 +1,6 @@
+import csv
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 
 import netinfer as ni
 from netinfer.errors import DataFormatError, ValidationError
+
+from conftest import reference_load_csv
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +75,70 @@ def test_csv_round_trip(tmp_path):
     back = ni.load_csv(path)
     assert back.names == ts.names
     assert np.array_equal(back.series, ts.series)
+
+
+def test_load_csv_drops_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfV1,V2\n1,2\n3,4\n")
+    assert ni.load_csv(path).names == ("V1", "V2")
+
+
+def _load_both(path):
+    """load_csv and its per-cell reference agree: the same names and array
+    bytes, or the same error type and message."""
+    outcomes = []
+    for load in (ni.load_csv, reference_load_csv):
+        try:
+            ts = load(path)
+            outcomes.append((ts.names, ts.series.tobytes()))
+        except (DataFormatError, ValidationError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("a,b\n1,2\n3\n4,x\n", "row 3 has 1 cells"),
+    ("a,b\n1,2\n4,x\n3\n", "row 3, column 'b': cannot parse 'x'"),
+    ("a,b\n1,2\n1_000,3\n", "cannot parse '1_000'"),
+    ("a,b\n1,2\n 1.5 ,3\n", None),
+    ("a,b\n1,2\ninf,3\n", "non-finite value 'inf'"),
+    ("a,b\n1,2\n3,-Infinity\n", "column 'b': non-finite value '-Infinity'"),
+    ("a,b\n1,2\nnan,3\n", "non-finite value 'nan'"),
+    ("a,b\n1,2\n0x1p3,3\n", "cannot parse '0x1p3'"),
+    ("a,b\n1,2\n,3\n", "row 3, column 'a': cannot parse ''"),
+    ("a,b\n", "empty body"),
+    ("a,b\n1,2\n", "need at least two data rows"),
+    ("a,b\n1,nan\n", "non-finite value 'nan'"),
+    ("a_1,b\n1,2\n3,4\n", None),
+])
+def test_load_csv_matches_reference_on_crafted_files(tmp_path, text, fragment):
+    outcome = _load_both(_write(tmp_path, text))
+    if fragment is None:
+        assert isinstance(outcome[1], bytes)
+    else:
+        assert outcome[0] is DataFormatError and fragment in outcome[1]
+
+
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.integers(-10 ** 6, 10 ** 6).map(str))
+_ODD_CELLS = st.sampled_from(["1_000", " 1.5 ", "inf", "-Infinity", "nan",
+                              "0x1p3", "", "x", "1e3", "-0.0", "+.5", "1e999"])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4), st.data())
+def test_load_csv_matches_reference_on_generated_grids(m, data):
+    cells = data.draw(st.sampled_from([_NUMBERS, st.one_of(_NUMBERS, _ODD_CELLS)]))
+    rows = data.draw(st.lists(st.lists(cells, min_size=m, max_size=m), max_size=8))
+    if data.draw(st.booleans()):
+        rows.insert(data.draw(st.integers(0, len(rows))),
+                    data.draw(st.lists(cells, max_size=m + 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([[f"V{i + 1}" for i in range(m)]] + rows)
+        _load_both(path)
 
 
 # ---------------------------------------------------------------------------
