@@ -186,7 +186,7 @@ def random_dag(m: int, rng, max_parents: int | None = None,
                edge_prob: float = 0.3) -> Dag:
     """Random DAG: random topological order, each order-respecting edge kept
     with probability edge_prob, parent sets truncated to max_parents."""
-    order = list(rng.permutation(m))
+    order = rng.permutation(m).tolist()
     parents: list[list[int]] = [[] for _ in range(m)]
     for j in range(1, m):
         dst = order[j]

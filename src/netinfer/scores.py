@@ -22,6 +22,13 @@ Score kinds
 returns the memo entry of a ``parents`` tuple that is already a stored key
 (the search's sorted tuples) as it stands; other input is sorted and made
 ints first. A miss checks it with :func:`graph.check_parents`.
+
+``Scorer.local_bound`` is an upper bound of a local that runs no
+surrogates, for the greedy climb's pruning: the memoised local if there is
+one, ``te + _BOUND_SLACK`` for a discrete-plugin ``tee`` local, and the
+exact local for every other score and estimator. Transfer entropies have
+their own memo, so the exact local that may follow a bound reuses its
+``te`` and no entropy is computed twice.
 """
 
 from __future__ import annotations
@@ -57,6 +64,21 @@ from .timeseries import EmbeddedView
 
 SCORE_KINDS = ("te", "tea", "tee", "aic", "bic", "ml")
 IC_KINDS = ("aic", "bic", "ml")
+
+# Slack of a discrete-plugin tee bound, in bits. A tee local is te - q, with
+# q an order statistic of surrogate values h_self - h_full(resampled). With
+# the plug-in estimator each value is a conditional mutual information of
+# the empirical distribution, >= 0 in exact arithmetic, so local <= te. In
+# floating point the row counts are exact integers, and an entropy is a
+# pairwise np.add.reduce of N terms log2(c_w) - log2(c_zw), each in
+# [0, log2 N], divided by N: its error is about (log2 N)**2 * eps, 4e-14
+# bits at N = 10**4 (eps = 2.2e-16), and a surrogate value's at most twice
+# that, 2.4e-13 at N = 10**7. So q >= -slack, and since rounding is
+# monotone, fl(te - q) <= fl(te + slack). 1e-9 leaves a wide margin.
+# The linear-Gaussian CMI goes through solve/slogdet on covariances with
+# condition numbers up to estimators._COND_LIMIT, and box-kernel TEs can be
+# negative: neither has a provable slack, so both stay exact.
+_BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -171,6 +193,7 @@ class Scorer:
         self.surrogates = surrogates if score_kind == "tee" else None
         self.cache = LocalScoreCache()
         self._h_self: dict[int, float] = {}
+        self._te: dict[tuple[int, tuple[int, ...]], float] = {}
 
     # -- pieces ----------------------------------------------------------
 
@@ -190,6 +213,15 @@ class Scorer:
         conds = [history(vertex)] + [history(p) for p in parents]
         return conditional_entropy(next_value(vertex), conds,
                                    self.view, self.estimator)
+
+    def _transfer_entropy(self, vertex: int, parents: tuple[int, ...]) -> float:
+        """te of a checked, sorted, non-empty parent set, memoised."""
+        key = (vertex, parents)
+        te = self._te.get(key)
+        if te is None:
+            te = self._te[key] = (self._own_entropy(vertex)
+                                  - self._full_entropy(vertex, parents))
+        return te
 
     def _tea_penalty(self, vertex: int, parents: tuple[int, ...]) -> float:
         view = self.view
@@ -240,6 +272,20 @@ class Scorer:
         found = cache.store[key] = self._compute_local(vertex, parents)
         return found
 
+    def local_bound(self, vertex: int, parents: Sequence[int]) -> float:
+        """An upper bound of ``local(vertex, parents).local`` that runs no
+        surrogates: exact but for a discrete-plugin ``tee`` local not yet
+        memoised, whose bound is ``te + _BOUND_SLACK``."""
+        parents = tuple(sorted(int(p) for p in parents))
+        found = self.cache.store.get((vertex, parents))
+        if found is not None:
+            return found.local
+        if (self.score_kind != "tee" or not parents
+                or self.estimator.method != "discrete-plugin"):
+            return self.local(vertex, parents).local
+        check_parents(vertex, parents, self.view.m_total)
+        return self._transfer_entropy(vertex, parents) + _BOUND_SLACK
+
     def _compute_local(self, vertex: int, parents: tuple[int, ...]) -> LocalScore:
         kind = self.score_kind
         if kind in IC_KINDS:
@@ -252,7 +298,7 @@ class Scorer:
 
         if not parents:
             return LocalScore(te=0.0, penalty=0.0, local=0.0)
-        te = self._own_entropy(vertex) - self._full_entropy(vertex, parents)
+        te = self._transfer_entropy(vertex, parents)
         if kind == "te":
             return LocalScore(te=te, penalty=0.0, local=te)
         if kind == "tea":

@@ -10,6 +10,15 @@ the single edge addition, deletion or reversal with the largest positive
 score delta. Deltas touch only the vertices whose parent sets change, so
 each step costs a handful of memoized local scores.
 
+Each step is lazy (Minoux's lazy greedy): it bounds every candidate's delta
+with :meth:`Scorer.local_bound`, evaluates exact deltas in decreasing bound
+order, and stops once no unevaluated move can win. Only discrete-plugin
+``tee`` has a bound below the exact local (``te`` plus a slack, no
+surrogates); every other score and estimator is bounded by its exact local.
+The winner is chosen from the evaluated moves in candidate order, and
+``visited`` counts every candidate, so results are byte-identical to
+scoring every move exactly.
+
 Ties are broken towards the lexicographically smallest edge set, which
 makes every search deterministic under a fixed seed.
 """
@@ -140,23 +149,70 @@ def _apply(graph: Dag, move) -> Dag:
     return graph.with_reversed_edge(src, dst)
 
 
+def _touched(graph: Dag, move):
+    """(vertex, parents before, parents after) of each vertex a move changes."""
+    op, src, dst = move
+    ps = graph.parents
+    if op == "add":
+        return ((dst, ps[dst], ps[dst] + (src,)),)
+    # delete src->dst, or reverse it: dst loses src (and src gains dst)
+    dropped = (dst, ps[dst], tuple(p for p in ps[dst] if p != src))
+    if op == "delete":
+        return (dropped,)
+    return (dropped, (src, ps[src], ps[src] + (dst,)))
+
+
+def _change(scorer: Scorer, graph: Dag, move, local_after) -> float:
+    touched = _touched(graph, move)
+    before = sum(scorer.local(v, old).local for v, old, _ in touched)
+    return sum(local_after(v, new) for v, _, new in touched) - before
+
+
 def move_delta(scorer: Scorer, graph: Dag, move) -> float:
     """Score change of a single-edge move, touching only affected vertices."""
-    op, src, dst = move
-    if op == "add":
-        before = scorer.local(dst, graph.parents[dst]).local
-        after = scorer.local(dst, graph.parents[dst] + (src,)).local
-        return after - before
-    if op == "delete":
-        before = scorer.local(dst, graph.parents[dst]).local
-        after = scorer.local(dst, tuple(p for p in graph.parents[dst] if p != src)).local
-        return after - before
-    # reverse src->dst: dst loses src, src gains dst
-    before = (scorer.local(dst, graph.parents[dst]).local
-              + scorer.local(src, graph.parents[src]).local)
-    after = (scorer.local(dst, tuple(p for p in graph.parents[dst] if p != src)).local
-             + scorer.local(src, graph.parents[src] + (dst,)).local)
-    return after - before
+    return _change(scorer, graph, move, lambda v, ps: scorer.local(v, ps).local)
+
+
+def move_bound(scorer: Scorer, graph: Dag, move) -> float:
+    """Upper bound of :func:`move_delta`, summed in the same order, from
+    :meth:`Scorer.local_bound` of the new parent sets."""
+    return _change(scorer, graph, move, scorer.local_bound)
+
+
+def _apart(low: float, high: float) -> bool:
+    """Whether _better puts high over low and never low over high, whatever
+    their edge sets."""
+    return low < high - _TIE_EPS and low + _TIE_EPS < high
+
+
+def _exact_deltas(scorer: Scorer, graph: Dag, moves) -> dict[int, float]:
+    """Exact deltas, by candidate index, of every move that can win this step.
+
+    Moves are evaluated in decreasing bound order (stable). Let floor be the
+    lowest positive delta reached from the largest through steps that are
+    not _apart. Evaluation stops at the first bound <= 0, whose move cannot
+    be positive, or _apart from floor: that move and all after it lie apart
+    from every delta of the cluster [floor, max], so it cannot beat any of
+    them, every one of them beats it, and scanning it changes nothing.
+    """
+    bounds = [move_bound(scorer, graph, move) for move in moves]
+    deltas: dict[int, float] = {}
+    positive: list[float] = []
+    floor = None
+    for i in sorted(range(len(moves)), key=lambda i: -bounds[i]):
+        bound = bounds[i]
+        if bound <= 0.0 or (floor is not None and _apart(bound, floor)):
+            break
+        delta = deltas[i] = move_delta(scorer, graph, moves[i])
+        if delta > 0.0:
+            positive.append(delta)
+            positive.sort(reverse=True)
+            floor = positive[0]
+            for d in positive[1:]:
+                if _apart(d, floor):
+                    break
+                floor = d
+    return deltas
 
 
 def _climb(scorer: Scorer, start: Dag, max_parents: Optional[int]):
@@ -165,12 +221,14 @@ def _climb(scorer: Scorer, start: Dag, max_parents: Optional[int]):
     trace: list[tuple[str, float]] = []
     visited = 1
     while True:
+        moves = _candidate_moves(graph, max_parents)
+        visited += len(moves)
         best_move = None
         best_delta = 0.0
         best_edges = None
-        for move in _candidate_moves(graph, max_parents):
-            delta = move_delta(scorer, graph, move)
-            visited += 1
+        deltas = _exact_deltas(scorer, graph, moves)
+        for i in sorted(deltas):  # candidate order, as if every move were scored
+            delta, move = deltas[i], moves[i]
             if delta <= 0.0:
                 continue
             edges = _apply(graph, move).edges()

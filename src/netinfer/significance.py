@@ -79,11 +79,6 @@ def chi2_quantile(p: Chi2Params) -> float:
     return float(2.0 * gammaincinv(p.df / 2.0, p.alpha))
 
 
-def chi2_cdf(df: int, x: float) -> float:
-    from scipy.special import gammainc  # here: simulate and eval never load it
-    return float(gammainc(df / 2.0, x / 2.0))
-
-
 def te_degrees_of_freedom(dest: int, sources: Sequence[int],
                           kappa: Sequence[int],
                           alphabet: Sequence[int]) -> tuple[int, list[int]]:

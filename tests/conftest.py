@@ -18,6 +18,7 @@ from scipy.spatial import cKDTree
 import netinfer as ni
 from netinfer.errors import DataFormatError
 from netinfer.estimators import history, next_value
+from netinfer.search import _apply, _better, _candidate_moves
 from netinfer.significance import derive_seed
 
 # Property tests draw the same examples on every run, so a counterexample
@@ -223,6 +224,53 @@ def reference_exhaustive_search(scorer, tie_eps):
                 or (total >= best_total - tie_eps and edges < best_edges)):
             best, best_total, best_edges = graph, total, edges
     return best, visited
+
+
+# The reference for the greedy climb is the loop that scored every candidate
+# move exactly, surrogates included, and scanned them in candidate order.
+
+def reference_move_delta(scorer, graph, move):
+    op, src, dst = move
+    if op == "add":
+        before = scorer.local(dst, graph.parents[dst]).local
+        after = scorer.local(dst, graph.parents[dst] + (src,)).local
+        return after - before
+    if op == "delete":
+        before = scorer.local(dst, graph.parents[dst]).local
+        after = scorer.local(dst, tuple(p for p in graph.parents[dst] if p != src)).local
+        return after - before
+    before = (scorer.local(dst, graph.parents[dst]).local
+              + scorer.local(src, graph.parents[src]).local)
+    after = (scorer.local(dst, tuple(p for p in graph.parents[dst] if p != src)).local
+             + scorer.local(src, graph.parents[src] + (dst,)).local)
+    return after - before
+
+
+def reference_climb(scorer, start, max_parents):
+    """(graph, total, trace, visited) of one climb; a drop-in for
+    ``search._climb``."""
+    graph = start
+    total = sum(scorer.local(v, graph.parents[v]).local for v in range(graph.m))
+    trace = []
+    visited = 1
+    while True:
+        best_move = None
+        best_delta = 0.0
+        best_edges = None
+        for move in _candidate_moves(graph, max_parents):
+            delta = reference_move_delta(scorer, graph, move)
+            visited += 1
+            if delta <= 0.0:
+                continue
+            edges = _apply(graph, move).edges()
+            if best_move is None or _better(delta, edges, best_delta, best_edges):
+                best_move, best_delta, best_edges = move, delta, edges
+        if best_move is None:
+            return graph, total, trace, visited
+        graph = _apply(graph, best_move)
+        total += best_delta
+        op, src, dst = best_move
+        trace.append((f"{op} {src}->{dst}", best_delta))
 
 
 # The references for the cycle checks are the walks they replaced: Kahn's

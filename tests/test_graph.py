@@ -1,3 +1,4 @@
+import json
 import os
 import tempfile
 
@@ -103,6 +104,14 @@ def test_random_dag_respects_cap_and_acyclicity():
         g = random_dag(5, rng, max_parents=2)
         assert ni.is_acyclic(g)
         assert all(len(ps) <= 2 for ps in g.parents)
+
+
+def test_random_dag_parents_are_python_ints():
+    # a restart's start graph reaches edges() and the search result
+    for seed in range(20):
+        g = random_dag(5, np.random.default_rng(seed), max_parents=2)
+        assert all(type(p) is int for ps in g.parents for p in ps)
+        json.dumps(g.parents)
 
 
 # ---------------------------------------------------------------------------

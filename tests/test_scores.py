@@ -10,6 +10,7 @@ import pytest
 import netinfer as ni
 from netinfer.errors import ValidationError
 from netinfer.graph import random_dag
+from netinfer.scores import _BOUND_SLACK
 from netinfer.significance import derive_seed, te_statistic
 
 from conftest import chain_dag, random_discrete_view
@@ -330,6 +331,82 @@ def test_parent_set_rule_shared_by_scores_estimators_and_tests(parents):
         with pytest.raises(ValidationError) as got:
             call()
         assert str(got.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# local bounds
+
+def _parent_sets(m, vertex):
+    others = [u for u in range(m) if u != vertex]
+    return [ps for k in range(m) for ps in itertools.combinations(others, k)]
+
+
+@pytest.mark.parametrize("view_of", [
+    lambda: random_discrete_view(4, 600, 3, seed=0),
+    lambda: random_discrete_view(4, 600, 2, seed=1, kappa=2),
+    lambda: ni.delay_embed(ni.discretize(ni.simulate(ni.GdsConfig(
+        graph=chain_dag(4), model=ni.CoupledLogisticModel(r=4.0, epsilon=0.4),
+        process_noise_std=1e-3, obs_noise_std=1e-3, n=2000, burn_in=200,
+        seed=3)).observations, 8), ni.EmbeddingSpec.uniform(4, 1, 2)),
+])
+def test_discrete_tee_local_bound_runs_no_surrogates_and_holds(monkeypatch, view_of):
+    sc = ni.Scorer(view_of(), "tee", DISCRETE, surrogates=_tee_cfg(seed=2))
+    populations = []
+    monkeypatch.setattr(ni.scores, "surrogate_te_samples",
+                        lambda *args: populations.append(args) or [0.0])
+    bounds = {(v, ps): sc.local_bound(v, ps)
+              for v in range(4) for ps in _parent_sets(4, v)}
+    assert populations == []
+    monkeypatch.undo()
+    for (v, ps), bound in bounds.items():
+        exact = sc.local(v, ps)
+        assert exact.local <= bound
+        assert bound == (exact.te + _BOUND_SLACK if ps else 0.0)
+        assert sc.local_bound(v, ps) == exact.local  # memoised: exact
+
+
+def test_tee_bound_then_local_computes_each_entropy_once(monkeypatch):
+    view = random_discrete_view(3, 500, 2, seed=11)
+    counts = []
+    for bound_first in (False, True):
+        calls = []
+        real = ni.scores.conditional_entropy
+        monkeypatch.setattr(ni.scores, "conditional_entropy",
+                            lambda *args: calls.append(args) or real(*args))
+        sc = ni.Scorer(view, "tee", DISCRETE, surrogates=_tee_cfg())
+        if bound_first:
+            sc.local_bound(1, [2, 0])
+        sc.local(1, (0, 2))
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts == [2, 2]  # the own entropy and the full one
+
+
+@pytest.mark.parametrize("kind, estimator", [
+    ("te", DISCRETE), ("tea", DISCRETE), ("bic", DISCRETE),
+    ("tee", ni.EstimatorKind.linear_gaussian()),
+    ("tee", ni.EstimatorKind.box_kernel(0.3)),
+])
+def test_local_bound_is_exact_where_no_slack_is_proved(kind, estimator):
+    if estimator.method == "discrete-plugin":
+        view = random_discrete_view(3, 400, 2, seed=5)
+    else:
+        rng = np.random.default_rng(5)
+        series = ni.TimeSeriesSet(rng.normal(size=(3, 300)), ("a", "b", "c"))
+        view = ni.delay_embed(series, ni.EmbeddingSpec.uniform(3, 1, 1))
+    kw = {"surrogates": _tee_cfg()} if kind == "tee" else {}
+    for v in range(3):
+        for ps in _parent_sets(3, v):
+            sc = ni.Scorer(view, kind, estimator, **kw)
+            assert sc.local_bound(v, ps) == sc.local(v, ps).local
+
+
+def test_local_bound_checks_parents_like_local():
+    sc = ni.Scorer(random_discrete_view(3, 300, 2, seed=17), "tee", DISCRETE,
+                   surrogates=_tee_cfg())
+    for parents in ((1,), (0, 0), (3,)):
+        with pytest.raises(ValidationError):
+            sc.local_bound(1, parents)
 
 
 def test_decomposability_cached_equals_fresh():

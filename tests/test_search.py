@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import netinfer as ni
+from netinfer import scores, search
 from netinfer.errors import ValidationError
 from netinfer.graph import random_dag
 from netinfer.scores import LocalScore
@@ -12,12 +13,14 @@ from netinfer.search import (
     _apply,
     exhaustive_search,
     greedy_hill_climb,
+    move_bound,
     move_delta,
 )
 
 from conftest import (
     chain_dag,
     random_discrete_view,
+    reference_climb,
     reference_exhaustive_search,
     simulate_chain,
 )
@@ -229,3 +232,148 @@ def test_exhaustive_scores_each_vertex_once_per_graph():
     result = exhaustive_search(sc)
     assert result.visited == 543
     assert sc.cache.hits + sc.cache.misses == result.visited * 4 + 4
+
+
+# ---------------------------------------------------------------------------
+# the lazy climb against the climb that scores every candidate exactly
+
+def _tee(view, estimator=DISCRETE):
+    return ni.Scorer(view, "tee", estimator,
+                     surrogates=ni.SurrogateConfig(19, seed=4))
+
+
+def _reference_greedy(monkeypatch, scorer, cfg):
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_climb", reference_climb)
+        return greedy_hill_climb(scorer, cfg)
+
+
+def _assert_same_search(monkeypatch, make_scorer, cfg):
+    ref = _reference_greedy(monkeypatch, make_scorer(), cfg)
+    lazy = greedy_hill_climb(make_scorer(), cfg)
+    assert lazy.best.parents == ref.best.parents
+    assert lazy.trace == ref.trace
+    assert lazy.visited == ref.visited
+    assert lazy.best_report.to_dict() == ref.best_report.to_dict()
+
+
+@pytest.mark.parametrize("score_kind", ["te", "tea", "tee", "bic"])
+@pytest.mark.parametrize("dataset", sorted(_SEARCH_VIEWS))
+def test_lazy_climb_matches_reference(monkeypatch, dataset, score_kind):
+    kw = {"surrogates": ni.SurrogateConfig(19, seed=4)} if score_kind == "tee" else {}
+    view = _SEARCH_VIEWS[dataset]()
+    _assert_same_search(monkeypatch,
+                        lambda: ni.Scorer(view, score_kind, DISCRETE, **kw),
+                        SearchConfig(seed=0))
+
+
+@pytest.mark.parametrize("dataset", ["chain5", "random4"])
+def test_lazy_climb_matches_reference_with_restarts(monkeypatch, dataset):
+    view = _SEARCH_VIEWS[dataset]()
+    _assert_same_search(monkeypatch, lambda: _tee(view),
+                        SearchConfig(seed=3, restarts=2))
+
+
+def test_lazy_climb_matches_reference_linear_gaussian(monkeypatch):
+    coupling = ((0.0, 0.0, 0.0, 0.0), (0.4, 0.0, 0.0, 0.0),
+                (0.0, 0.4, 0.0, 0.0), (0.0, 0.3, 0.0, 0.0))
+    cfg = ni.GdsConfig(
+        graph=ni.Dag.from_edges(4, [(0, 1), (1, 2), (1, 3)]),
+        model=ni.LinearGaussianModel(coupling=coupling, self_weight=0.5),
+        process_noise_std=1.0, obs_noise_std=0.1, n=1500, burn_in=100, seed=5)
+    view = ni.delay_embed(ni.simulate(cfg).observations,
+                          ni.EmbeddingSpec.uniform(4, 1, 2))
+    _assert_same_search(monkeypatch,
+                        lambda: _tee(view, ni.EstimatorKind.linear_gaussian()),
+                        SearchConfig(seed=0, restarts=1))
+
+
+def test_lazy_climb_matches_reference_box_kernel(monkeypatch):
+    out = simulate_chain(3, seed=302, n=400)
+    view = ni.delay_embed(out.observations, ni.EmbeddingSpec.uniform(3, 1, 1))
+    _assert_same_search(monkeypatch,
+                        lambda: _tee(view, ni.EstimatorKind.box_kernel(0.1)),
+                        SearchConfig(seed=0))
+
+
+class _ClusterTieScorer:
+    """From the empty 3-vertex graph, whose add moves come in edge order,
+    the first three moves have exact deltas 1 - 1.2e, 1 - 0.3e and 1, with
+    e = _TIE_EPS, and every bound is exact. Scanned in candidate order,
+    _better keeps the first over the second and takes the third. A search
+    that stopped one e below the best delta would skip the first move, keep
+    the second over the third, and pick the second."""
+
+    score_kind = "tee"
+
+    class view:
+        m_total = 3
+
+    _LOCALS = {(1, (0,)): 1.0 - 1.2 * _TIE_EPS,
+               (2, (0,)): 1.0 - 0.3 * _TIE_EPS,
+               (0, (1,)): 1.0}
+
+    def local(self, vertex, parents):
+        local = self._LOCALS.get((vertex, tuple(sorted(parents))), 0.0)
+        return LocalScore(te=local, penalty=0.0, local=local)
+
+    def local_bound(self, vertex, parents):
+        return self.local(vertex, parents).local
+
+    @staticmethod
+    def score(graph):
+        return None
+
+
+def test_lazy_climb_keeps_the_whole_tie_cluster(monkeypatch):
+    ref = _reference_greedy(monkeypatch, _ClusterTieScorer(), SearchConfig())
+    lazy = greedy_hill_climb(_ClusterTieScorer(), SearchConfig())
+    assert ref.trace[0] == ("add 1->0", 1.0)
+    assert lazy.trace == ref.trace
+    assert lazy.best.parents == ref.best.parents
+    assert lazy.visited == ref.visited
+
+
+@pytest.mark.parametrize("dataset", sorted(_SEARCH_VIEWS))
+def test_lazy_climb_deltas_within_bounds(monkeypatch, dataset):
+    bounds, pairs = {}, []
+
+    def bound(scorer, graph, move):
+        b = bounds[graph.parents, move] = move_bound(scorer, graph, move)
+        return b
+
+    def delta(scorer, graph, move):
+        d = move_delta(scorer, graph, move)
+        pairs.append((d, bounds[graph.parents, move]))
+        return d
+
+    monkeypatch.setattr(search, "move_bound", bound)
+    monkeypatch.setattr(search, "move_delta", delta)
+    greedy_hill_climb(_tee(_SEARCH_VIEWS[dataset]()), SearchConfig(seed=1, restarts=2))
+    assert pairs and all(d <= b for d, b in pairs)
+    assert any(d < b for d, b in pairs)  # some bounds ran no surrogates
+
+
+def test_lazy_climb_runs_fewer_populations_and_no_extra_entropies(monkeypatch):
+    view = _SEARCH_VIEWS["chain5"]()
+    counts = []
+    for climb in (reference_climb, search._climb):
+        calls = {"entropies": 0, "populations": 0}
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_climb", climb)
+            patch.setattr(scores, "conditional_entropy",
+                          counted(scores.conditional_entropy, "entropies"))
+            patch.setattr(scores, "surrogate_te_samples",
+                          counted(scores.surrogate_te_samples, "populations"))
+            greedy_hill_climb(_tee(view), SearchConfig(seed=0))
+        counts.append(calls)
+    ref, lazy = counts
+    assert 0 < lazy["entropies"] <= ref["entropies"]
+    assert 0 < lazy["populations"] < ref["populations"]
