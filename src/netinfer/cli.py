@@ -204,7 +204,8 @@ def _config_field(doc: dict, key: str, cast, default=None, kind=None):
     try:
         return cast(doc.get(key, default))
     except (TypeError, ValueError):
-        raise ValidationError(f"config field {key!r} must be {kind or cast.__name__}, "
+        raise ValidationError(f"config field {key!r} must be "
+                              f"{kind or cast.__name__.lstrip('_')}, "
                               f"got {doc.get(key, default)!r}") from None
 
 
@@ -214,11 +215,24 @@ def _str_list(value) -> list:
     return value
 
 
-def _number_tuple(value) -> tuple:
-    value = tuple(value)
-    for v in value:
-        float(v)  # raises on a non-numeric entry; the values stay as given
-    return value
+def _number(value) -> float:
+    """A JSON number: a bool or a string is not one, whatever float() makes of it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """An integral JSON number: 2000 and 2000.0, not 2000.9."""
+    if not _number(value).is_integer():
+        raise ValueError
+    return int(value)
+
+
+def _numbers(values):
+    for v in values:
+        _number(v)  # raises on a non-numeric entry; the values stay as given
+    return values
 
 
 def _config_from_json(doc: dict) -> GdsConfig:
@@ -238,15 +252,17 @@ def _config_from_json(doc: dict) -> GdsConfig:
             "config field 'edges' must be a list of [source, target] name pairs"
         ) from None
     graph = Dag.from_edges(len(names), edges)
-    mdoc = _config_field(doc, "model", dict)
-    mtype = mdoc.pop("type", None)
     try:
+        mdoc = {**doc["model"]}  # a JSON object only: dict() takes a list of pairs
+        mtype = mdoc.pop("type", None)
         if mtype == "coupled-logistic":
+            _numbers(mdoc.values())
             model = CoupledLogisticModel(**mdoc)
         elif mtype == "linear-gaussian":
             coupling = mdoc.pop("coupling")
+            _numbers(mdoc.values())
             model = LinearGaussianModel(
-                coupling=tuple(tuple(float(v) for v in row) for row in coupling),
+                coupling=tuple(tuple(_number(v) for v in row) for row in coupling),
                 **mdoc,
             )
         else:
@@ -258,14 +274,14 @@ def _config_from_json(doc: dict) -> GdsConfig:
     return GdsConfig(
         graph=graph,
         model=model,
-        process_noise_std=_config_field(doc, "process_noise_std", float, 0.0),
-        obs_noise_std=_config_field(doc, "obs_noise_std", float, 0.0),
-        n=_config_field(doc, "n", int),
-        burn_in=_config_field(doc, "burn_in", int, 1000),
-        seed=_config_field(doc, "seed", int, 0),
+        process_noise_std=_config_field(doc, "process_noise_std", _number, 0.0),
+        obs_noise_std=_config_field(doc, "obs_noise_std", _number, 0.0),
+        n=_config_field(doc, "n", _integer),
+        burn_in=_config_field(doc, "burn_in", _integer, 1000),
+        seed=_config_field(doc, "seed", _integer, 0),
         names=tuple(names),
-        initial_states=(_config_field(doc, "initial_states", _number_tuple,
-                                      kind="a list of numbers")
+        initial_states=(tuple(_config_field(doc, "initial_states", _numbers,
+                                            kind="a list of numbers"))
                         if doc.get("initial_states") is not None else None),
     )
 

@@ -17,9 +17,10 @@ Three interchangeable density models back every measure here:
   pairs, found block by block over rows sorted by W's first coordinate,
   so memory stays bounded whatever the width.
 
-All values are in bits. A view memoises its dense row ids without a
-lock, so a view, and the ``Scorer`` that holds it, serves one thread; the
-surrogate pool only reorders and counts arrays prepared before it starts.
+All values are in bits. A view memoises its dense row ids and every
+conditional entropy computed on it, without a lock, so a view, and the
+``Scorer`` that holds it, serves one thread; the surrogate pool only
+reorders and counts arrays prepared before it starts.
 """
 
 from __future__ import annotations
@@ -277,17 +278,25 @@ def conditional_entropy(target, conditioners, view: EmbeddedView,
 
     ``target`` and ``conditioners`` are selections built with
     :func:`next_value` and :func:`history`; the target may itself be a list
-    of selections (used for the joint next-step vector).
+    of selections (used for the joint next-step vector). The view memoises
+    the value under ``(kind, target, conditioners)`` in the order given, so
+    every measure on one view computes each entropy once.
     """
-    _check_kind(view, kind)
     target = _as_selections(target)
     conditioners = _as_selections(conditioners)
-    if not target:
-        raise ValidationError("target selection is empty")
-    if kind.method == "discrete-plugin":
-        return _discrete_from_view(view, target, conditioners)
-    return _real_cond_entropy(kind, _resolve(view, target),
-                              _resolve(view, conditioners))
+    key = (kind, target, conditioners)
+    found = view._memo.get(key)
+    if found is None:
+        _check_kind(view, kind)
+        if not target:
+            raise ValidationError("target selection is empty")
+        if kind.method == "discrete-plugin":
+            found = _discrete_from_view(view, target, conditioners)
+        else:
+            found = _real_cond_entropy(kind, _resolve(view, target),
+                                       _resolve(view, conditioners))
+        view._memo[key] = found
+    return found
 
 
 def collective_transfer_entropy(dest: int, sources, view: EmbeddedView,

@@ -26,9 +26,7 @@ ints first. A miss checks it with :func:`graph.check_parents`.
 ``Scorer.local_bound`` is an upper bound of a local that runs no
 surrogates, for the greedy climb's pruning: the memoised local if there is
 one, ``te + _BOUND_SLACK`` for a discrete-plugin ``tee`` local, and the
-exact local for every other score and estimator. Transfer entropies have
-their own memo, so the exact local that may follow a bound reuses its
-``te`` and no entropy is computed twice.
+exact local for every other score and estimator.
 """
 
 from __future__ import annotations
@@ -40,13 +38,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import ValidationError
-from .estimators import (
-    EstimatorKind,
-    collective_transfer_entropy,
-    conditional_entropy,
-    history,
-    next_value,
-)
+from .estimators import EstimatorKind, conditional_entropy, history, next_value
 from .graph import Dag, check_parents, check_vertex_count, is_acyclic
 from .significance import (
     Chi2Params,
@@ -192,8 +184,6 @@ class Scorer:
         self.alpha = alpha if score_kind in ("tea", "tee") else None
         self.surrogates = surrogates if score_kind == "tee" else None
         self.cache = LocalScoreCache()
-        self._h_self: dict[int, float] = {}
-        self._te: dict[tuple[int, tuple[int, ...]], float] = {}
 
     # -- pieces ----------------------------------------------------------
 
@@ -201,27 +191,11 @@ class Scorer:
     def n_effective(self) -> int:
         return self.view.rows
 
-    def _own_entropy(self, vertex: int) -> float:
-        h = self._h_self.get(vertex)
-        if h is None:
-            h = conditional_entropy(next_value(vertex), [history(vertex)],
-                                    self.view, self.estimator)
-            self._h_self[vertex] = h
-        return h
-
-    def _full_entropy(self, vertex: int, parents: tuple[int, ...]) -> float:
+    def _entropy(self, vertex: int, parents: tuple[int, ...] = ()) -> float:
+        """H(next | own past, parent pasts) of a vertex, memoised on the view."""
         conds = [history(vertex)] + [history(p) for p in parents]
         return conditional_entropy(next_value(vertex), conds,
                                    self.view, self.estimator)
-
-    def _transfer_entropy(self, vertex: int, parents: tuple[int, ...]) -> float:
-        """te of a checked, sorted, non-empty parent set, memoised."""
-        key = (vertex, parents)
-        te = self._te.get(key)
-        if te is None:
-            te = self._te[key] = (self._own_entropy(vertex)
-                                  - self._full_entropy(vertex, parents))
-        return te
 
     def _tea_penalty(self, vertex: int, parents: tuple[int, ...]) -> float:
         view = self.view
@@ -284,21 +258,20 @@ class Scorer:
                 or self.estimator.method != "discrete-plugin"):
             return self.local(vertex, parents).local
         check_parents(vertex, parents, self.view.m_total)
-        return self._transfer_entropy(vertex, parents) + _BOUND_SLACK
+        return self._entropy(vertex) - self._entropy(vertex, parents) + _BOUND_SLACK
 
     def _compute_local(self, vertex: int, parents: tuple[int, ...]) -> LocalScore:
         kind = self.score_kind
         if kind in IC_KINDS:
-            h_full = (self._full_entropy(vertex, parents) if parents
-                      else self._own_entropy(vertex))
-            te = self._own_entropy(vertex) - h_full
+            h_full = self._entropy(vertex, parents)
+            te = self._entropy(vertex) - h_full
             penalty = self._f_of_n() * self._ic_dimension(vertex, parents)
             local = -self.n_effective * h_full - penalty
             return LocalScore(te=te, penalty=penalty, local=local)
 
         if not parents:
             return LocalScore(te=0.0, penalty=0.0, local=0.0)
-        te = self._transfer_entropy(vertex, parents)
+        te = self._entropy(vertex) - self._entropy(vertex, parents)
         if kind == "te":
             return LocalScore(te=te, penalty=0.0, local=te)
         if kind == "tea":

@@ -159,7 +159,8 @@ class EmbeddedView:
 
     ``targets[t, s]`` is y_{n+1} of subsystem s and ``histories[s][t]`` is
     its κ-dimensional lag vector at time n, where row t is the time index
-    n = t + max_i (κ_i-1)τ_i of the source data.
+    n = t + max_i (κ_i-1)τ_i of the source data. ``_memo`` keeps the results
+    of :meth:`symbol_ids` and ``estimators.conditional_entropy`` for its lifetime.
     """
 
     names: tuple[str, ...]
@@ -168,7 +169,7 @@ class EmbeddedView:
     rows: int
     discrete: bool
     alphabet_sizes: tuple[int, ...] | None = None
-    _ids: dict = field(default_factory=dict, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.targets.flags.writeable = False
@@ -207,13 +208,13 @@ class EmbeddedView:
         """Dense per-row ids 0..k-1 of a subsystem's "next" (target) or
         "history" block, and k; rows share an id exactly when their values
         are equal. Kept, read-only, for the view's lifetime."""
-        found = self._ids.get((role, subsystem))
+        found = self._memo.get((role, subsystem))
         if found is None:
             block = self.target(subsystem) if role == "next" else self.history(subsystem)
             uniq, ids = np.unique(block, axis=0, return_inverse=True)
             ids = ids.reshape(-1)
             ids.flags.writeable = False
-            found = self._ids[(role, subsystem)] = (ids, len(uniq))
+            found = self._memo[(role, subsystem)] = (ids, len(uniq))
         return found
 
 

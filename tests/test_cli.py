@@ -88,6 +88,41 @@ def test_simulate_config_parse_error_exits_1(tmp_path, field, value):
     assert proc.stderr.count("\n") == 1 and field in proc.stderr
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 2000), ("n", 2000.0), ("n", 2000.9), ("n", "2000"), ("n", True),
+    ("burn_in", 10.7), ("burn_in", 10.0), ("seed", False), ("seed", 3.0),
+    ("obs_noise_std", True), ("obs_noise_std", "0.001"), ("process_noise_std", 0),
+    ("model", [["type", "coupled-logistic"]]),
+    ("model", {"type": "coupled-logistic", "r": True, "epsilon": 0.4}),
+    ("model", {"type": "linear-gaussian", "self_weight": "0.5",
+               "coupling": [[0, 0, 0], [0.2, 0, 0], [0, 0.2, 0]]}),
+    ("model", {"type": "linear-gaussian", "self_weight": 0.5,
+               "coupling": [[0, 0, 0], [True, 0, 0], [0, 0.2, 0]]}),
+    ("model", {"type": "linear-gaussian", "self_weight": 0,
+               "coupling": [[0, 0, 0], [1, 0, 0], [0, 0.2, 0]]}),
+    ("initial_states", ["0.5", 0.25, 0.5]), ("initial_states", [True, 0.25, 0.5]),
+    ("initial_states", [1, 0, 0.5]),
+])
+def test_simulate_accepts_exactly_what_the_config_schema_accepts(
+        tmp_path, capsys, field, value):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = _schema("sim_config.schema.json")
+    doc = json.loads(_chain_config(tmp_path).read_text(encoding="utf-8"))
+    doc[field] = value
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    valid = jsonschema.Draft7Validator(schema).is_valid(doc)
+    assert code == (0 if valid else 1)
+    if valid:
+        jsonschema.validate(json.loads((out / "config.json").read_text()), schema)
+    else:
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err
+        assert not out.exists()
+
+
 def test_simulate_same_seed_byte_identical(tmp_path):
     cfg = _chain_config(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"

@@ -18,6 +18,7 @@ from netinfer.estimators import (
 
 from conftest import (
     brute_box_counts,
+    chain_dag,
     counting_cond_entropy,
     gaussian_cond_var,
     random_discrete_view,
@@ -173,6 +174,73 @@ def test_kind_data_mismatch_rejected():
     cview = ni.delay_embed(ts, ni.EmbeddingSpec.uniform(1, 1, 1))
     with pytest.raises(ValidationError, match="discretized"):
         ni.conditional_entropy(next_value(0), [], cview, DISCRETE)
+
+
+# ---------------------------------------------------------------------------
+# the view's entropy memo
+
+def _real_chain_view(seed):
+    out = simulate_chain(3, seed=seed, n=500)
+    return ni.delay_embed(out.observations, ni.EmbeddingSpec.uniform(3, 1, 2))
+
+
+_MEMO_VIEWS = {
+    "discrete-plugin": (DISCRETE, lambda: random_discrete_view(3, 600, 3, seed=61)),
+    "linear-gaussian": (GAUSSIAN, lambda: _real_chain_view(62)),
+    "box-kernel": (ni.EstimatorKind.box_kernel(0.2), lambda: _real_chain_view(63)),
+}
+
+
+def _memoised_entropies(view):
+    return {key: h for key, h in view._memo.items()
+            if isinstance(key[0], ni.EstimatorKind)}
+
+
+@pytest.mark.parametrize("method", sorted(_MEMO_VIEWS))
+def test_view_memo_holds_what_a_fresh_view_computes(method):
+    kind, make_view = _MEMO_VIEWS[method]
+    view = make_view()
+    scorer = ni.Scorer(view, "te", kind)
+    for v in range(3):
+        for parents in ((), ((v + 1) % 3,), tuple(u for u in range(3) if u != v)):
+            scorer.local(v, parents)
+    ni.stochastic_interaction(view, kind)
+    ni.kl_divergence(chain_dag(3), view, kind)
+    conds = (history(1), history(0), history(2))
+    reordered = (history(2), history(0), history(1))
+    first = ni.conditional_entropy(next_value(0), conds, view, kind)
+    assert ni.conditional_entropy(next_value(0), list(conds), view, kind) == first
+    ni.conditional_entropy(next_value(0), reordered, view, kind)
+    memo = _memoised_entropies(view)
+    joint = tuple(next_value(s) for s in range(3))
+    for key in ((kind, joint, tuple(history(s) for s in range(3))),
+                (kind, (next_value(0),), conds), (kind, (next_value(0),), reordered)):
+        assert key in memo
+    for (_, target, conditioners), h in memo.items():
+        fresh = ni.conditional_entropy(target, conditioners, make_view(), kind)
+        assert fresh.hex() == h.hex()
+
+
+@pytest.mark.parametrize("method", sorted(_MEMO_VIEWS))
+def test_view_memo_stores_no_out_of_range_entropy(method):
+    kind, make_view = _MEMO_VIEWS[method]
+    view = make_view()
+    for target, conds in ((next_value(3), [history(0)]),
+                          (next_value(0), [history(0), history(-1)])):
+        for _ in range(2):  # a second call computes, and fails, again
+            with pytest.raises(ValidationError, match="out of range"):
+                ni.conditional_entropy(target, conds, view, kind)
+    assert _memoised_entropies(view) == {}
+
+
+def test_view_memo_stores_no_degenerate_gaussian():
+    ts = ni.TimeSeriesSet.from_columns([np.arange(100.0), 2 * np.arange(100.0)])
+    view = ni.delay_embed(ts, ni.EmbeddingSpec.uniform(2, 1, 2))
+    for _ in range(2):
+        with pytest.raises(NumericError, match="degenerate covariance"):
+            ni.conditional_entropy(next_value(0), [history(0), history(1)],
+                                   view, GAUSSIAN)
+    assert _memoised_entropies(view) == {}
 
 
 def test_box_kernel_requires_positive_width():

@@ -366,13 +366,13 @@ def test_discrete_tee_local_bound_runs_no_surrogates_and_holds(monkeypatch, view
 
 
 def test_tee_bound_then_local_computes_each_entropy_once(monkeypatch):
-    view = random_discrete_view(3, 500, 2, seed=11)
     counts = []
     for bound_first in (False, True):
         calls = []
-        real = ni.scores.conditional_entropy
-        monkeypatch.setattr(ni.scores, "conditional_entropy",
+        real = ni.estimators._discrete_from_view
+        monkeypatch.setattr(ni.estimators, "_discrete_from_view",
                             lambda *args: calls.append(args) or real(*args))
+        view = random_discrete_view(3, 500, 2, seed=11)  # a fresh memo each
         sc = ni.Scorer(view, "tee", DISCRETE, surrogates=_tee_cfg())
         if bound_first:
             sc.local_bound(1, [2, 0])
@@ -380,6 +380,30 @@ def test_tee_bound_then_local_computes_each_entropy_once(monkeypatch):
         monkeypatch.undo()
         counts.append(len(calls))
     assert counts == [2, 2]  # the own entropy and the full one
+
+
+def _real_view(seed):
+    series = np.random.default_rng(seed).normal(size=(3, 300))
+    return ni.delay_embed(ni.TimeSeriesSet(series, ("a", "b", "c")),
+                          ni.EmbeddingSpec.uniform(3, 1, 1))
+
+
+@pytest.mark.parametrize("estimator, kernel, per_surrogate", [
+    (DISCRETE, "_discrete_from_view", 0),
+    (ni.EstimatorKind.box_kernel(0.3), "box_cond_entropy", 1),
+])
+def test_tee_local_computes_two_entropies_population_included(
+        monkeypatch, estimator, kernel, per_surrogate):
+    view = (random_discrete_view(3, 500, 2, seed=11) if estimator is DISCRETE
+            else _real_view(11))
+    calls = []
+    real = getattr(ni.estimators, kernel)
+    monkeypatch.setattr(ni.estimators, kernel,
+                        lambda *args: calls.append(args) or real(*args))
+    cfg = _tee_cfg()
+    ni.Scorer(view, "tee", estimator, surrogates=cfg).local(1, (0, 2))
+    # the own entropy and the full one; the population reuses the own one
+    assert len(calls) == 2 + per_surrogate * cfg.count
 
 
 @pytest.mark.parametrize("kind, estimator", [
@@ -391,9 +415,7 @@ def test_local_bound_is_exact_where_no_slack_is_proved(kind, estimator):
     if estimator.method == "discrete-plugin":
         view = random_discrete_view(3, 400, 2, seed=5)
     else:
-        rng = np.random.default_rng(5)
-        series = ni.TimeSeriesSet(rng.normal(size=(3, 300)), ("a", "b", "c"))
-        view = ni.delay_embed(series, ni.EmbeddingSpec.uniform(3, 1, 1))
+        view = _real_view(5)
     kw = {"surrogates": _tee_cfg()} if kind == "tee" else {}
     for v in range(3):
         for ps in _parent_sets(3, v):

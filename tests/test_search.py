@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import netinfer as ni
-from netinfer import scores, search
+from netinfer import estimators, scores, search
 from netinfer.errors import ValidationError
 from netinfer.graph import random_dag
 from netinfer.scores import LocalScore
@@ -355,9 +355,9 @@ def test_lazy_climb_deltas_within_bounds(monkeypatch, dataset):
 
 
 def test_lazy_climb_runs_fewer_populations_and_no_extra_entropies(monkeypatch):
-    view = _SEARCH_VIEWS["chain5"]()
     counts = []
     for climb in (reference_climb, search._climb):
+        view = _SEARCH_VIEWS["chain5"]()  # a fresh entropy memo per climb
         calls = {"entropies": 0, "populations": 0}
 
         def counted(fn, name):
@@ -368,8 +368,8 @@ def test_lazy_climb_runs_fewer_populations_and_no_extra_entropies(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(search, "_climb", climb)
-            patch.setattr(scores, "conditional_entropy",
-                          counted(scores.conditional_entropy, "entropies"))
+            patch.setattr(estimators, "_discrete_from_view",
+                          counted(estimators._discrete_from_view, "entropies"))
             patch.setattr(scores, "surrogate_te_samples",
                           counted(scores.surrogate_te_samples, "populations"))
             greedy_hill_climb(_tee(view), SearchConfig(seed=0))
