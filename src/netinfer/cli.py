@@ -235,9 +235,20 @@ def _numbers(values):
     return values
 
 
+# the top-level fields of sim_config.schema.json; "manifest" lets an echoed
+# config.json simulate again
+_CONFIG_FIELDS = ("names", "edges", "model", "process_noise_std", "obs_noise_std",
+                  "n", "burn_in", "seed", "initial_states", "manifest")
+
+
 def _config_from_json(doc: dict) -> GdsConfig:
     if not isinstance(doc, dict):
         raise ValidationError("config must be a JSON object")
+    for key in doc:
+        if key not in _CONFIG_FIELDS:
+            raise ValidationError(f"config has unknown field {key!r}")
+    if not isinstance(doc.get("manifest", ""), str):
+        raise ValidationError("config field 'manifest' must be a string")
     for key in ("names", "edges", "model", "n"):
         if key not in doc:
             raise ValidationError(f"config is missing required field {key!r}")

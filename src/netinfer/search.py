@@ -1,26 +1,29 @@
 """Finding the best-scoring DAG: exhaustive enumeration or greedy climbing.
 
+Every search breaks ties by one rule, :func:`_pick`: among the candidates
+whose score lies within ``_TIE_EPS`` of the largest, it returns the one whose
+graph has the smallest sorted edge tuple. The result therefore does not
+depend on the order in which candidates are enumerated or evaluated.
+
 Exhaustive search sums memoized local scores over every DAG that
-:func:`graph.enumerate_dags` yields; it builds a graph's tie-break edge key
-only when the total lies within the tie window of the best so far.
+:func:`graph.enumerate_dags` yields; it builds a graph's edge tuple only
+when the total lies within the tie window of the running maximum.
 
 Hill climbing starts from the empty graph (penalized scores make it the
 natural null model) plus optional random restarts, and repeatedly applies
-the single edge addition, deletion or reversal with the largest positive
-score delta. Deltas touch only the vertices whose parent sets change, so
-each step costs a handful of memoized local scores.
+the rule's pick among the single edge additions, deletions and reversals
+with a positive score delta. Deltas touch only the vertices whose parent
+sets change, so each step costs a handful of memoized local scores. The
+rule also chooses among the restarts' local optima.
 
 Each step is lazy (Minoux's lazy greedy): it bounds every candidate's delta
 with :meth:`Scorer.local_bound`, evaluates exact deltas in decreasing bound
-order, and stops once no unevaluated move can win. Only discrete-plugin
-``tee`` has a bound below the exact local (``te`` plus a slack, no
-surrogates); every other score and estimator is bounded by its exact local.
-The winner is chosen from the evaluated moves in candidate order, and
-``visited`` counts every candidate, so results are byte-identical to
+order, and stops at the first bound that is <= 0 or below the tie window of
+the largest delta so far, since no move from there on can be picked. Only
+discrete-plugin ``tee`` has a bound below the exact local (``te`` plus a
+slack, no surrogates); every other score and estimator is bounded by its
+exact local. ``visited`` counts every candidate, so results are the same as
 scoring every move exactly.
-
-Ties are broken towards the lexicographically smallest edge set, which
-makes every search deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -84,20 +87,19 @@ class SearchResult:
     trace: Optional[list[tuple[str, float]]] = field(default=None)
 
 
-def _better(total: float, edges, best_total: float, best_edges) -> bool:
-    if total > best_total + _TIE_EPS:
-        return True
-    if total >= best_total - _TIE_EPS and edges < best_edges:
-        return True
-    return False
+def _pick(candidates):
+    """The candidate with the smallest edge tuple among those whose total is
+    within _TIE_EPS of the largest; candidates are (total, edges, ...)."""
+    top = max(c[0] for c in candidates)
+    return min((c for c in candidates if c[0] >= top - _TIE_EPS),
+               key=lambda c: c[1])
 
 
 def exhaustive_search(scorer: Scorer) -> SearchResult:
-    """Score every labelled DAG and return the maximum."""
+    """Score every labelled DAG and return the rule's pick."""
     m = scorer.view.m_total
-    best = None
-    best_total = -np.inf
-    best_edges = None
+    top = -np.inf
+    kept = []  # (total, edges, graph) within the tie window of top
     visited = 0
     local = scorer.local
     for graph in enumerate_dags(m):
@@ -106,11 +108,13 @@ def exhaustive_search(scorer: Scorer) -> SearchResult:
         for v in range(m):
             total += local(v, parents[v]).local
         visited += 1
-        if best is not None and total < best_total - _TIE_EPS:
-            continue  # below the tie window _better is False whatever the edges
-        edges = graph.edges()
-        if best is None or _better(total, edges, best_total, best_edges):
-            best, best_total, best_edges = graph, total, edges
+        if total < top - _TIE_EPS:
+            continue
+        if total > top:
+            top = total
+            kept = [c for c in kept if c[0] >= top - _TIE_EPS]
+        kept.append((total, graph.edges(), graph))
+    best = _pick(kept)[2]
     return SearchResult(best=best, best_report=scorer.score(best),
                         visited=visited, trace=None)
 
@@ -179,40 +183,27 @@ def move_bound(scorer: Scorer, graph: Dag, move) -> float:
     return _change(scorer, graph, move, scorer.local_bound)
 
 
-def _apart(low: float, high: float) -> bool:
-    """Whether _better puts high over low and never low over high, whatever
-    their edge sets."""
-    return low < high - _TIE_EPS and low + _TIE_EPS < high
+def _step(scorer: Scorer, graph: Dag, moves):
+    """The rule's pick among the moves with a positive delta, as
+    (delta, edges after, move), or None.
 
-
-def _exact_deltas(scorer: Scorer, graph: Dag, moves) -> dict[int, float]:
-    """Exact deltas, by candidate index, of every move that can win this step.
-
-    Moves are evaluated in decreasing bound order (stable). Let floor be the
-    lowest positive delta reached from the largest through steps that are
-    not _apart. Evaluation stops at the first bound <= 0, whose move cannot
-    be positive, or _apart from floor: that move and all after it lie apart
-    from every delta of the cluster [floor, max], so it cannot beat any of
-    them, every one of them beats it, and scanning it changes nothing.
+    Moves are evaluated in decreasing bound order. Evaluation stops at the
+    first bound <= 0, whose move cannot be positive, or below top - _TIE_EPS,
+    where top is the largest delta so far: that move and all after it have
+    deltas below the tie window, so the rule never picks them.
     """
     bounds = [move_bound(scorer, graph, move) for move in moves]
-    deltas: dict[int, float] = {}
-    positive: list[float] = []
-    floor = None
+    top = -np.inf
+    candidates = []
     for i in sorted(range(len(moves)), key=lambda i: -bounds[i]):
-        bound = bounds[i]
-        if bound <= 0.0 or (floor is not None and _apart(bound, floor)):
+        if bounds[i] <= 0.0 or bounds[i] < top - _TIE_EPS:
             break
-        delta = deltas[i] = move_delta(scorer, graph, moves[i])
+        move = moves[i]
+        delta = move_delta(scorer, graph, move)
+        top = max(top, delta)
         if delta > 0.0:
-            positive.append(delta)
-            positive.sort(reverse=True)
-            floor = positive[0]
-            for d in positive[1:]:
-                if _apart(d, floor):
-                    break
-                floor = d
-    return deltas
+            candidates.append((delta, _apply(graph, move).edges(), move))
+    return _pick(candidates) if candidates else None
 
 
 def _climb(scorer: Scorer, start: Dag, max_parents: Optional[int]):
@@ -223,23 +214,14 @@ def _climb(scorer: Scorer, start: Dag, max_parents: Optional[int]):
     while True:
         moves = _candidate_moves(graph, max_parents)
         visited += len(moves)
-        best_move = None
-        best_delta = 0.0
-        best_edges = None
-        deltas = _exact_deltas(scorer, graph, moves)
-        for i in sorted(deltas):  # candidate order, as if every move were scored
-            delta, move = deltas[i], moves[i]
-            if delta <= 0.0:
-                continue
-            edges = _apply(graph, move).edges()
-            if best_move is None or _better(delta, edges, best_delta, best_edges):
-                best_move, best_delta, best_edges = move, delta, edges
-        if best_move is None:
+        step = _step(scorer, graph, moves)
+        if step is None:
             return graph, total, trace, visited
-        graph = _apply(graph, best_move)
-        total += best_delta
-        op, src, dst = best_move
-        trace.append((f"{op} {src}->{dst}", best_delta))
+        delta, _, move = step
+        graph = _apply(graph, move)
+        total += delta
+        op, src, dst = move
+        trace.append((f"{op} {src}->{dst}", delta))
 
 
 def greedy_hill_climb(scorer: Scorer, cfg: SearchConfig | None = None) -> SearchResult:
@@ -258,16 +240,12 @@ def greedy_hill_climb(scorer: Scorer, cfg: SearchConfig | None = None) -> Search
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, r)))
         starts.append(random_dag(m, rng, max_parents=max_parents))
 
-    best = None
-    best_total = -np.inf
-    best_edges = None
-    best_trace = None
+    climbs = []
     visited = 0
     for start in starts:
         graph, total, trace, seen = _climb(scorer, start, max_parents)
         visited += seen
-        edges = graph.edges()
-        if best is None or _better(total, edges, best_total, best_edges):
-            best, best_total, best_edges, best_trace = graph, total, edges, trace
+        climbs.append((total, graph.edges(), graph, trace))
+    _, _, best, trace = _pick(climbs)
     return SearchResult(best=best, best_report=scorer.score(best),
-                        visited=visited, trace=best_trace)
+                        visited=visited, trace=trace)

@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 import netinfer as ni
 from netinfer.errors import DataFormatError
 from netinfer.estimators import history, next_value
-from netinfer.search import _apply, _better, _candidate_moves
+from netinfer.search import _TIE_EPS, _apply, _candidate_moves
 from netinfer.significance import derive_seed
 
 # Property tests draw the same examples on every run, so a counterexample
@@ -212,22 +212,25 @@ def reference_enumerate_dags(m):
     yield from rec(0)
 
 
+def reference_pick(candidates, tie_eps):
+    """The tie rule by brute force: of the (total, edges, ...) candidates whose
+    total is within tie_eps of the largest, the one with the smallest edges."""
+    top = max(c[0] for c in candidates)
+    tied = sorted((c for c in candidates if c[0] >= top - tie_eps),
+                  key=lambda c: c[1])
+    return tied[0]
+
+
 def reference_exhaustive_search(scorer, tie_eps):
-    """(best graph, visited) of the per-graph loop with an edge key each."""
+    """(best graph, visited): the tie rule over every graph's total."""
     m = scorer.view.m_total
-    best, best_total, best_edges, visited = None, -np.inf, None, 0
-    for graph in reference_enumerate_dags(m):
-        total = sum(scorer.local(v, graph.parents[v]).local for v in range(m))
-        visited += 1
-        edges = graph.edges()
-        if (best is None or total > best_total + tie_eps
-                or (total >= best_total - tie_eps and edges < best_edges)):
-            best, best_total, best_edges = graph, total, edges
-    return best, visited
+    scored = [(sum(scorer.local(v, g.parents[v]).local for v in range(m)),
+               g.edges(), g) for g in reference_enumerate_dags(m)]
+    return reference_pick(scored, tie_eps)[2], len(scored)
 
 
-# The reference for the greedy climb is the loop that scored every candidate
-# move exactly, surrogates included, and scanned them in candidate order.
+# The reference for the greedy climb scores every candidate move exactly,
+# surrogates included, and applies the tie rule to the positive ones.
 
 def reference_move_delta(scorer, graph, move):
     op, src, dst = move
@@ -254,23 +257,18 @@ def reference_climb(scorer, start, max_parents):
     trace = []
     visited = 1
     while True:
-        best_move = None
-        best_delta = 0.0
-        best_edges = None
-        for move in _candidate_moves(graph, max_parents):
-            delta = reference_move_delta(scorer, graph, move)
-            visited += 1
-            if delta <= 0.0:
-                continue
-            edges = _apply(graph, move).edges()
-            if best_move is None or _better(delta, edges, best_delta, best_edges):
-                best_move, best_delta, best_edges = move, delta, edges
-        if best_move is None:
+        moves = _candidate_moves(graph, max_parents)
+        visited += len(moves)
+        scored = [(reference_move_delta(scorer, graph, move),
+                   _apply(graph, move).edges(), move) for move in moves]
+        positive = [c for c in scored if c[0] > 0.0]
+        if not positive:
             return graph, total, trace, visited
-        graph = _apply(graph, best_move)
-        total += best_delta
-        op, src, dst = best_move
-        trace.append((f"{op} {src}->{dst}", best_delta))
+        delta, _, move = reference_pick(positive, _TIE_EPS)
+        graph = _apply(graph, move)
+        total += delta
+        op, src, dst = move
+        trace.append((f"{op} {src}->{dst}", delta))
 
 
 # The references for the cycle checks are the walks they replaced: Kahn's

@@ -101,7 +101,8 @@ def test_simulate_config_parse_error_exits_1(tmp_path, field, value):
     ("model", {"type": "linear-gaussian", "self_weight": 0,
                "coupling": [[0, 0, 0], [1, 0, 0], [0, 0.2, 0]]}),
     ("initial_states", ["0.5", 0.25, 0.5]), ("initial_states", [True, 0.25, 0.5]),
-    ("initial_states", [1, 0, 0.5]),
+    ("initial_states", [1, 0, 0.5]), ("burnin", 5), ("seed", -1),
+    ("manifest", "run_manifest.json"), ("manifest", 5),
 ])
 def test_simulate_accepts_exactly_what_the_config_schema_accepts(
         tmp_path, capsys, field, value):
@@ -121,6 +122,18 @@ def test_simulate_accepts_exactly_what_the_config_schema_accepts(
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and field in err
         assert not out.exists()
+
+
+def test_simulate_echoed_config_simulates_the_same_data(tmp_path):
+    # the echo carries a "manifest" field, which the config accepts
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--config", str(_chain_config(tmp_path)),
+                 "--out-dir", str(a)]) == 0
+    assert "manifest" in json.loads((a / "config.json").read_text())
+    assert main(["simulate", "--config", str(a / "config.json"),
+                 "--out-dir", str(b)]) == 0
+    assert (a / "data.csv").read_bytes() == (b / "data.csv").read_bytes()
+    assert (a / "config.json").read_bytes() == (b / "config.json").read_bytes()
 
 
 def test_simulate_same_seed_byte_identical(tmp_path):

@@ -299,10 +299,10 @@ def test_lazy_climb_matches_reference_box_kernel(monkeypatch):
 class _ClusterTieScorer:
     """From the empty 3-vertex graph, whose add moves come in edge order,
     the first three moves have exact deltas 1 - 1.2e, 1 - 0.3e and 1, with
-    e = _TIE_EPS, and every bound is exact. Scanned in candidate order,
-    _better keeps the first over the second and takes the third. A search
-    that stopped one e below the best delta would skip the first move, keep
-    the second over the third, and pick the second."""
+    e = _TIE_EPS, and every bound is exact. The tie window of the largest
+    delta holds the second and third moves, and the rule picks the second,
+    whose edge tuple is smaller. The first lies below the window, so a lazy
+    step stops at its bound without evaluating it."""
 
     score_kind = "tee"
 
@@ -327,11 +327,71 @@ class _ClusterTieScorer:
 
 def test_lazy_climb_keeps_the_whole_tie_cluster(monkeypatch):
     ref = _reference_greedy(monkeypatch, _ClusterTieScorer(), SearchConfig())
+    evaluated = []
+
+    def delta(scorer, graph, move):
+        evaluated.append((graph.edges(), move))
+        return move_delta(scorer, graph, move)
+
+    monkeypatch.setattr(search, "move_delta", delta)
     lazy = greedy_hill_climb(_ClusterTieScorer(), SearchConfig())
-    assert ref.trace[0] == ("add 1->0", 1.0)
+    assert ref.trace[0] == ("add 0->2", 1.0 - 0.3 * _TIE_EPS)
     assert lazy.trace == ref.trace
     assert lazy.best.parents == ref.best.parents
     assert lazy.visited == ref.visited
+    first_step = [move for edges, move in evaluated if edges == ()]
+    assert first_step == [("add", 1, 0), ("add", 0, 2)]
+
+
+class _DriftScorer:
+    """Every local is 1, but for vertex 0 with parent set (1,), 1 + 0.3e, and
+    vertex 2 with (1,), 1 + 0.9e, where e = _TIE_EPS. The maximum is 1->0
+    plus 1->2, at 3 + 1.2e. A scan in enumeration order that replaces its
+    incumbent by any graph within e of it with a smaller edge tuple takes
+    that maximum, then 0->2, 1->0, 1->2 (0.9e lower), then 0->1, 2->0
+    (0.3e lower again), and ends 1.2e below the maximum, outside its window.
+    """
+
+    score_kind = "tee"
+
+    class view:
+        m_total = 3
+
+    _BUMPS = {(0, (1,)): 0.3, (2, (1,)): 0.9}
+
+    def local(self, vertex, parents):
+        bump = self._BUMPS.get((vertex, tuple(sorted(parents))), 0.0)
+        return LocalScore(te=0.0, penalty=0.0, local=1.0 + bump * _TIE_EPS)
+
+    def local_bound(self, vertex, parents):
+        return self.local(vertex, parents).local
+
+    @staticmethod
+    def score(graph):
+        return None
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_tie_rule_does_not_drift_or_depend_on_order(monkeypatch, reverse):
+    sc = _DriftScorer()
+    ref_best, _ = reference_exhaustive_search(sc, _TIE_EPS)
+    ref_greedy = greedy_hill_climb(sc)
+    if reverse:
+        dags, moves = search.enumerate_dags, search._candidate_moves
+        monkeypatch.setattr(search, "enumerate_dags",
+                            lambda m: reversed(list(dags(m))))
+        monkeypatch.setattr(search, "_candidate_moves",
+                            lambda graph, cap: moves(graph, cap)[::-1])
+    best = exhaustive_search(sc).best
+    assert best.parents == ref_best.parents
+    assert best.edges() == ((0, 1), (1, 2))  # at 3 + 0.9e
+    totals = {g: sum(sc.local(v, g.parents[v]).local for v in range(3))
+              for g in ni.enumerate_dags(3)}
+    assert totals[best] >= max(totals.values()) - _TIE_EPS
+    greedy = greedy_hill_climb(sc)
+    assert greedy.trace[0][0] == "add 1->0"  # of 1->0 and 1->2, both in the window
+    assert greedy.trace == ref_greedy.trace
+    assert greedy.best.parents == ref_greedy.best.parents
 
 
 @pytest.mark.parametrize("dataset", sorted(_SEARCH_VIEWS))
