@@ -17,7 +17,7 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from typing import Optional, Sequence
 
 from . import __version__
@@ -26,7 +26,7 @@ from .estimators import EstimatorKind
 from .graph import Dag, compare_graphs, dag_from_dot, write_dot
 from .scores import SCORE_KINDS, Scorer
 from .search import SearchConfig, exhaustive_search, greedy_hill_climb
-from .significance import SurrogateConfig
+from .significance import SurrogateConfig, check_seed
 from .simulate import (
     CoupledLogisticModel,
     GdsConfig,
@@ -153,6 +153,7 @@ def _add_scoring_flags(sub):
 
 
 def _build_scorer(args, ts) -> Scorer:
+    check_seed(args.seed)
     m = ts.m
     spec = EmbeddingSpec(
         tau=tuple(_parse_int_list(args.tau, m, "--tau")),
@@ -200,48 +201,39 @@ def _print_report(report):
 # ---------------------------------------------------------------------------
 # simulate
 
-def _config_field(doc: dict, key: str, cast, default=None, kind=None):
+# the fields of sim_config.schema.json that GdsConfig takes as they are
+# named; "manifest" lets an echoed config.json simulate again
+_SCALARS = ("process_noise_std", "obs_noise_std", "n", "burn_in", "seed",
+            "initial_states")
+_CONFIG_FIELDS = ("names", "edges", "model", *_SCALARS, "manifest")
+_MODELS = {"coupled-logistic": CoupledLogisticModel,
+           "linear-gaussian": LinearGaussianModel}
+
+
+def _model_from_json(mdoc):
+    """The model a config's "model" object names, checked by its class."""
+    if not isinstance(mdoc, dict):
+        raise ValidationError(f"config field 'model' must be an object, got {mdoc!r}")
+    mtype = mdoc.get("type")
+    cls = _MODELS.get(mtype) if isinstance(mtype, str) else None
+    if cls is None:
+        raise ValidationError(f"unknown model type {mtype!r}")
+    kwargs = {k: v for k, v in mdoc.items() if k != "type"}
+    known = {f.name for f in fields(cls)}
+    for key in kwargs:
+        if key not in known:
+            raise ValidationError(f"model {mtype!r} has no field {key!r}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in kwargs:
+            raise ValidationError(f"model {mtype!r} is missing field {f.name!r}")
     try:
-        return cast(doc.get(key, default))
-    except (TypeError, ValueError):
-        raise ValidationError(f"config field {key!r} must be "
-                              f"{kind or cast.__name__.lstrip('_')}, "
-                              f"got {doc.get(key, default)!r}") from None
-
-
-def _str_list(value) -> list:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError
-    return value
-
-
-def _number(value) -> float:
-    """A JSON number: a bool or a string is not one, whatever float() makes of it."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _integer(value) -> int:
-    """An integral JSON number: 2000 and 2000.0, not 2000.9."""
-    if not _number(value).is_integer():
-        raise ValueError
-    return int(value)
-
-
-def _numbers(values):
-    for v in values:
-        _number(v)  # raises on a non-numeric entry; the values stay as given
-    return values
-
-
-# the top-level fields of sim_config.schema.json; "manifest" lets an echoed
-# config.json simulate again
-_CONFIG_FIELDS = ("names", "edges", "model", "process_noise_std", "obs_noise_std",
-                  "n", "burn_in", "seed", "initial_states", "manifest")
+        return cls(**kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"model: {exc}") from None
 
 
 def _config_from_json(doc: dict) -> GdsConfig:
+    """Map a simulate config's JSON names onto a ``GdsConfig``, which checks it."""
     if not isinstance(doc, dict):
         raise ValidationError("config must be a JSON object")
     for key in doc:
@@ -252,8 +244,12 @@ def _config_from_json(doc: dict) -> GdsConfig:
     for key in ("names", "edges", "model", "n"):
         if key not in doc:
             raise ValidationError(f"config is missing required field {key!r}")
-    names = _config_field(doc, "names", _str_list, kind="a list of strings")
-    index = {name: i for i, name in enumerate(names)}
+    names = doc["names"]
+    if not isinstance(names, list):
+        raise ValidationError(f"config field 'names' must be a list of strings, "
+                              f"got {names!r}")
+    # only a string names a vertex; GdsConfig rejects any other entry
+    index = {name: i for i, name in enumerate(names) if isinstance(name, str)}
     try:
         edges = [(index[a], index[b]) for a, b in doc["edges"]]
     except KeyError as exc:
@@ -262,39 +258,8 @@ def _config_from_json(doc: dict) -> GdsConfig:
         raise ValidationError(
             "config field 'edges' must be a list of [source, target] name pairs"
         ) from None
-    graph = Dag.from_edges(len(names), edges)
-    try:
-        mdoc = {**doc["model"]}  # a JSON object only: dict() takes a list of pairs
-        mtype = mdoc.pop("type", None)
-        if mtype == "coupled-logistic":
-            _numbers(mdoc.values())
-            model = CoupledLogisticModel(**mdoc)
-        elif mtype == "linear-gaussian":
-            coupling = mdoc.pop("coupling")
-            _numbers(mdoc.values())
-            model = LinearGaussianModel(
-                coupling=tuple(tuple(_number(v) for v in row) for row in coupling),
-                **mdoc,
-            )
-        else:
-            raise ValidationError(f"unknown model type {mtype!r}")
-    except ValidationError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ValidationError(f"bad model field: {exc}") from None
-    return GdsConfig(
-        graph=graph,
-        model=model,
-        process_noise_std=_config_field(doc, "process_noise_std", _number, 0.0),
-        obs_noise_std=_config_field(doc, "obs_noise_std", _number, 0.0),
-        n=_config_field(doc, "n", _integer),
-        burn_in=_config_field(doc, "burn_in", _integer, 1000),
-        seed=_config_field(doc, "seed", _integer, 0),
-        names=tuple(names),
-        initial_states=(tuple(_config_field(doc, "initial_states", _numbers,
-                                            kind="a list of numbers"))
-                        if doc.get("initial_states") is not None else None),
-    )
+    return GdsConfig(Dag.from_edges(len(names), edges), _model_from_json(doc["model"]),
+                     names=names, **{key: doc[key] for key in _SCALARS if key in doc})
 
 
 def _config_echo(cfg: GdsConfig) -> dict:
@@ -302,22 +267,12 @@ def _config_echo(cfg: GdsConfig) -> dict:
         model = {"type": "coupled-logistic", "r": cfg.model.r,
                  "epsilon": cfg.model.epsilon}
     else:
-        model = {"type": "linear-gaussian",
-                 "self_weight": cfg.model.self_weight,
-                 "coupling": [list(row) for row in cfg.model.coupling]}
-    names = cfg.resolved_names()
-    return {
-        "names": list(names),
-        "edges": [[names[a], names[b]] for a, b in cfg.graph.edges()],
-        "model": model,
-        "process_noise_std": cfg.process_noise_std,
-        "obs_noise_std": cfg.obs_noise_std,
-        "n": cfg.n,
-        "burn_in": cfg.burn_in,
-        "seed": cfg.seed,
-        "initial_states": (list(cfg.initial_states)
-                           if cfg.initial_states is not None else None),
-    }
+        model = {"type": "linear-gaussian", "self_weight": cfg.model.self_weight,
+                 "coupling": cfg.model.coupling}
+    names = cfg.names
+    return {"names": names,
+            "edges": [[names[a], names[b]] for a, b in cfg.graph.edges()],
+            "model": model, **{key: getattr(cfg, key) for key in _SCALARS}}
 
 
 def cmd_simulate(args, argv) -> int:

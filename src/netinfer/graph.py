@@ -241,10 +241,10 @@ def check_vertex_name(name: str):
     """Reject a name that :func:`write_dot` cannot write for :func:`parse_dot`
     to read back: an empty one, or one holding a quote, "//" (a comment) or
     a line break. Also reject leading or trailing whitespace, which
-    :func:`~netinfer.timeseries.load_csv` strips from CSV headers, and lone
-    surrogates, which no UTF-8 file can hold."""
-    if (not name or '"' in name or "//" in name or name.splitlines() != [name]
-            or name != name.strip()
+    :func:`~netinfer.timeseries.load_csv` strips from CSV headers, lone
+    surrogates, which no UTF-8 file can hold, and anything not a string."""
+    if (not isinstance(name, str) or not name or '"' in name or "//" in name
+            or name.splitlines() != [name] or name != name.strip()
             or any("\ud800" <= c <= "\udfff" for c in name)):
         raise ValidationError(
             f"vertex name {name!r} cannot be written to DOT and CSV and read back "

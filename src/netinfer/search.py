@@ -41,6 +41,7 @@ from .graph import (
     random_dag,
 )
 from .scores import ScoreReport, Scorer
+from .significance import check_seed
 
 __all__ = [
     "SearchConfig", "SearchResult", "exhaustive_search", "greedy_hill_climb",
@@ -65,8 +66,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 0:
             raise ValidationError("restarts must be >= 0")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
+        check_seed(self.seed)
         mp = self.max_parents
         if mp is not None and mp != AUTO_MAX_PARENTS and (
                 not isinstance(mp, int) or mp < 0):

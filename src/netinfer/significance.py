@@ -39,6 +39,12 @@ def check_alpha(alpha: float):
         raise ValidationError("alpha must lie in (0, 1)")
 
 
+def check_seed(seed: int):
+    """The one range check of a random seed: seed >= 0."""
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
+
+
 @dataclass(frozen=True)
 class Chi2Params:
     df: int
@@ -63,8 +69,7 @@ class SurrogateConfig:
             raise ValidationError("surrogate count must be >= 1")
         if self.method not in ("permutation", "bootstrap"):
             raise ValidationError(f"unknown surrogate method {self.method!r}")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
+        check_seed(self.seed)
 
 
 def te_statistic(te_bits: float, n_effective: int) -> float:

@@ -20,6 +20,7 @@ valid only when the spectral radius of A stays below one.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -27,9 +28,28 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .graph import Dag, check_vertex_name, is_acyclic
+from .significance import check_seed
 from .timeseries import TimeSeriesSet
 
-DEFAULT_BURN_IN = 1000
+
+def _number(name: str, value) -> float:
+    """``value`` as a float; a bool, a string or an int beyond float range is
+    no number here, whatever ``float()`` would make of it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is too large for a float") from None
+
+
+def _numbers(name: str, values) -> tuple:
+    """A list, tuple or array of numbers as a tuple, each entry kept as given."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ValidationError(f"{name} must be a list of numbers, got {values!r}")
+    for v in values:
+        _number(f"each {name} entry", v)
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -38,6 +58,8 @@ class CoupledLogisticModel:
     epsilon: float = 0.4
 
     def __post_init__(self):
+        _number("r", self.r)
+        _number("epsilon", self.epsilon)
         if not 0.0 < self.epsilon < 1.0:
             raise ValidationError("epsilon must satisfy 0 < epsilon < 1")
         if self.r <= 0:
@@ -75,6 +97,14 @@ class LinearGaussianModel:
     coupling: tuple[tuple[float, ...], ...]  # coupling[i][j]: weight of j -> i
     self_weight: float = 0.9
 
+    def __post_init__(self):
+        if not isinstance(self.coupling, (list, tuple, np.ndarray)):
+            raise ValidationError(
+                f"coupling must be a list of rows of numbers, got {self.coupling!r}")
+        object.__setattr__(self, "coupling", tuple(
+            tuple(map(float, _numbers("coupling row", row))) for row in self.coupling))
+        _number("self_weight", self.self_weight)
+
     def start(self, cfg: GdsConfig, rng):
         """Initial state (zero unless given), noise-free map x -> A x and no
         fold; rejects couplings off the graph and nonstationary systems."""
@@ -109,12 +139,21 @@ class GdsConfig:
     process_noise_std: float = 0.0
     obs_noise_std: float = 0.0
     n: int = 10000
-    burn_in: int = DEFAULT_BURN_IN
+    burn_in: int = 1000
     seed: int = 0
-    names: Optional[tuple[str, ...]] = None
+    names: Optional[tuple[str, ...]] = None  # None: V1, ..., VM
     initial_states: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
+        """Check every field once; n, burn_in and seed become int, the noise
+        levels float and the sequences tuples."""
+        for key in ("n", "burn_in", "seed"):  # 2000 and 2000.0, not 2000.9
+            value = getattr(self, key)
+            if not _number(key, value).is_integer():
+                raise ValidationError(f"{key} must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
+        for key in ("process_noise_std", "obs_noise_std"):
+            object.__setattr__(self, key, _number(key, getattr(self, key)))
         if self.n < 2:
             raise ValidationError("n must be >= 2")
         if self.burn_in < 0:
@@ -123,22 +162,25 @@ class GdsConfig:
             raise ValidationError("process_noise_std must be >= 0")
         if self.obs_noise_std < 0:
             raise ValidationError("obs_noise_std must be >= 0")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
+        check_seed(self.seed)
         if not is_acyclic(self.graph):
             raise ValidationError("ground-truth graph must be acyclic")
-        if self.names is not None and len(self.names) != self.graph.m:
+        names = self.names
+        if names is None:
+            names = tuple(f"V{i + 1}" for i in range(self.graph.m))
+        if not isinstance(names, (list, tuple)):
+            raise ValidationError(f"names must be a list of strings, got {names!r}")
+        object.__setattr__(self, "names", tuple(names))
+        if len(self.names) != self.graph.m:
             raise ValidationError("names length does not match vertex count")
-        for name in self.names or ():
+        for name in self.names:
             check_vertex_name(name)
-        if (self.initial_states is not None
-                and len(self.initial_states) != self.graph.m):
-            raise ValidationError("initial_states length does not match vertex count")
-
-    def resolved_names(self) -> tuple[str, ...]:
-        if self.names is not None:
-            return self.names
-        return tuple(f"V{i + 1}" for i in range(self.graph.m))
+        if self.initial_states is not None:
+            object.__setattr__(self, "initial_states",
+                               _numbers("initial_states", self.initial_states))
+            if len(self.initial_states) != self.graph.m:
+                raise ValidationError(
+                    "initial_states length does not match vertex count")
 
 
 @dataclass(frozen=True)
@@ -168,8 +210,12 @@ def simulate(cfg: GdsConfig) -> SimOutput:
     x, step, fold = cfg.model.start(cfg, rng)
 
     total = cfg.burn_in + cfg.n
-    states = np.empty((total, m), dtype=float)
-    observations = np.empty((total, m), dtype=float)
+    try:
+        states = np.empty((total, m), dtype=float)
+        observations = np.empty((total, m), dtype=float)
+    except (ValueError, MemoryError):  # numpy's "too big" and a failed allocation
+        raise NumericError(
+            f"cannot allocate burn_in + n samples of {m} series") from None
     for t in range(total):
         x = step(x) + rng.normal(0.0, cfg.process_noise_std, size=m)
         if not np.all(np.isfinite(x)):
@@ -180,6 +226,6 @@ def simulate(cfg: GdsConfig) -> SimOutput:
 
     keep_states = states[cfg.burn_in:].T.copy()
     keep_obs = observations[cfg.burn_in:].T.copy()
-    ts = TimeSeriesSet(keep_obs, cfg.resolved_names())
+    ts = TimeSeriesSet(keep_obs, cfg.names)
     return SimOutput(observations=ts, states=keep_states,
                      truth=cfg.graph, config_echo=cfg)

@@ -77,7 +77,6 @@ class DiscretizedSeries:
 
     symbols: np.ndarray  # shape (M, N), int64
     alphabet_sizes: tuple[int, ...]
-    bin_edges: tuple[tuple[float, ...], ...]
     names: tuple[str, ...]
 
     def __post_init__(self):
@@ -91,9 +90,6 @@ class DiscretizedSeries:
             col = sym[i]
             if col.min() < 0 or col.max() >= r:
                 raise ValidationError(f"symbol out of range for subsystem {i}")
-        for i, edges in enumerate(self.bin_edges):
-            if len(edges) >= 2 and not all(a < b for a, b in zip(edges, edges[1:])):
-                raise ValidationError(f"bin edges not strictly increasing for subsystem {i}")
         sym = sym.copy()
         sym.flags.writeable = False
         object.__setattr__(self, "symbols", sym)
@@ -109,12 +105,11 @@ class DiscretizedSeries:
     @classmethod
     def from_symbols(cls, symbols, alphabet_sizes,
                      names: Sequence[str] | None = None) -> "DiscretizedSeries":
-        """Wrap already-discrete sequences (no binning metadata)."""
+        """Wrap already-discrete sequences."""
         sym = np.asarray(symbols, dtype=np.int64)
         if names is None:
             names = tuple(f"V{i + 1}" for i in range(sym.shape[0]))
-        return cls(sym, tuple(int(r) for r in alphabet_sizes),
-                   tuple(() for _ in range(sym.shape[0])), tuple(names))
+        return cls(sym, tuple(int(r) for r in alphabet_sizes), tuple(names))
 
 
 @dataclass(frozen=True)
@@ -313,7 +308,6 @@ def discretize(ts: TimeSeriesSet, bins: Union[int, Sequence[int]]) -> Discretize
             raise ValidationError(f"bins for subsystem {ts.names[i]!r} must be >= 2")
 
     symbols = np.empty_like(ts.series, dtype=np.int64)
-    edges = []
     for i in range(ts.m):
         lo = float(ts.series[i].min())
         hi = float(ts.series[i].max())
@@ -326,8 +320,7 @@ def discretize(ts: TimeSeriesSet, bins: Union[int, Sequence[int]]) -> Discretize
         sym = np.floor((ts.series[i] - lo) / width).astype(np.int64)
         np.clip(sym, 0, per[i] - 1, out=sym)
         symbols[i] = sym
-        edges.append(cuts)
-    return DiscretizedSeries(symbols, tuple(per), tuple(edges), ts.names)
+    return DiscretizedSeries(symbols, tuple(per), ts.names)
 
 
 def delay_embed(data: Union[TimeSeriesSet, DiscretizedSeries],

@@ -103,6 +103,9 @@ def test_simulate_config_parse_error_exits_1(tmp_path, field, value):
     ("initial_states", ["0.5", 0.25, 0.5]), ("initial_states", [True, 0.25, 0.5]),
     ("initial_states", [1, 0, 0.5]), ("burnin", 5), ("seed", -1),
     ("manifest", "run_manifest.json"), ("manifest", 5),
+    ("model", {"type": "coupled-logistic", "r": 4, "epsilon": 0.4, "x": 1}),
+    ("model", {"type": "linear-gaussian", "self_weight": 0.5, "r": 4,
+               "coupling": [[0, 0, 0], [0.2, 0, 0], [0, 0.2, 0]]}),
 ])
 def test_simulate_accepts_exactly_what_the_config_schema_accepts(
         tmp_path, capsys, field, value):
@@ -122,6 +125,36 @@ def test_simulate_accepts_exactly_what_the_config_schema_accepts(
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and field in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, code, says", [
+    ("n", 10**400, 1, "n is too large for a float"),
+    ("burn_in", 10**400, 1, "burn_in is too large for a float"),
+    ("seed", 10**400, 1, "seed is too large for a float"),
+    ("model", {"type": "coupled-logistic", "r": 10**400, "epsilon": 0.4}, 1,
+     "r is too large for a float"),
+    ("initial_states", [0.5, 10**400, 0.5], 1,
+     "each initial_states entry is too large for a float"),
+    # fails in numpy's shape check, before any memory is taken
+    ("n", 1e300, 2, "cannot allocate"),
+    ("model", {"type": "coupled-logistic", "r": 4, "epsilon": 0.4, "x": 1}, 1,
+     "has no field 'x'"),
+    ("model", {"type": "linear-gaussian", "self_weight": 0.5, "r": 4,
+               "coupling": [[0, 0, 0], [0.2, 0, 0], [0, 0.2, 0]]}, 1,
+     "has no field 'r'"),
+], ids=["n-huge", "burn_in-huge", "seed-huge", "r-huge", "initial_states-huge",
+        "n-1e300", "logistic-field-x", "gaussian-field-r"])
+def test_simulate_config_beyond_reach_exits_with_one_line(
+        tmp_path, capsys, field, value, code, says):
+    doc = json.loads(_chain_config(tmp_path).read_text(encoding="utf-8"))
+    doc[field] = value
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and says in err
+    assert not out.exists()
 
 
 def test_simulate_echoed_config_simulates_the_same_data(tmp_path):
@@ -236,6 +269,27 @@ def test_score_deterministic_json(tmp_path, simulated):
     b = json.loads(p2.read_text())
     a.pop("manifest"); b.pop("manifest")
     assert a == b
+
+
+@pytest.mark.parametrize("argv", [
+    ["score", "--score", "tea"],
+    ["infer", "--search", "exhaustive", "--score", "tea"],
+    ["infer", "--score", "tee", "--surrogates", "19"],
+    ["simulate"],
+])
+def test_negative_seed_exits_1_on_every_command(tmp_path, simulated, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] == "simulate":
+        argv = argv + ["--config", str(_chain_config(tmp_path)), "--out-dir", str(out)]
+    elif argv[0] == "score":
+        argv = argv + ["--data", str(simulated / "data.csv"), "--graph",
+                       str(simulated / "truth.dot"), "--bins", "4", "--out", str(out)]
+    else:
+        argv = argv + ["--data", str(simulated / "data.csv"), "--bins", "4",
+                       "--out-dir", str(out)]
+    assert main(argv + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not out.exists()
 
 
 def test_score_vertex_name_mismatch(tmp_path, simulated, capsys):

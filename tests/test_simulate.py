@@ -32,6 +32,18 @@ def test_epsilon_bounds_rejected():
             ni.CoupledLogisticModel(r=4.0, epsilon=eps)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ni.GdsConfig(graph=chain_dag(2), model=ni.CoupledLogisticModel(),
+                         n=2000.5),
+    lambda: ni.CoupledLogisticModel(r=True),
+    lambda: ni.LinearGaussianModel(coupling=((0, "1"), (0, 0))),
+])
+def test_config_types_are_checked_at_construction(build):
+    # the checks a simulate config gets from the CLI, for library callers too
+    with pytest.raises(ValidationError):
+        build()
+
+
 def test_simulation_determinism_bit_identical():
     cfg = ni.GdsConfig(
         graph=chain_dag(3),
