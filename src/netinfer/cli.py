@@ -21,12 +21,13 @@ from dataclasses import MISSING, fields, replace
 from typing import Optional, Sequence
 
 from . import __version__
-from .errors import DataFormatError, NetinferError, NumericError, ValidationError
+from .errors import (DataFormatError, NetinferError, NumericError, ValidationError,
+                     check_int)
 from .estimators import EstimatorKind
 from .graph import Dag, compare_graphs, dag_from_dot, write_dot
 from .scores import SCORE_KINDS, Scorer
 from .search import SearchConfig, exhaustive_search, greedy_hill_climb
-from .significance import SurrogateConfig, check_seed
+from .significance import SurrogateConfig
 from .simulate import (
     CoupledLogisticModel,
     GdsConfig,
@@ -153,7 +154,7 @@ def _add_scoring_flags(sub):
 
 
 def _build_scorer(args, ts) -> Scorer:
-    check_seed(args.seed)
+    check_int("seed", args.seed, 0)
     m = ts.m
     spec = EmbeddingSpec(
         tau=tuple(_parse_int_list(args.tau, m, "--tau")),

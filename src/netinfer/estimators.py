@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_number
 from .graph import Dag, check_parents, check_vertex_count
 from .timeseries import EmbeddedView
 
@@ -49,6 +49,7 @@ class EstimatorKind:
     def __post_init__(self):
         if self.method not in ("discrete-plugin", "linear-gaussian", "box-kernel"):
             raise ValidationError(f"unknown estimator {self.method!r}")
+        object.__setattr__(self, "width", check_number("width", self.width))
         if self.method == "box-kernel" and not self.width > 0:
             raise ValidationError("box-kernel width must be > 0")
 
@@ -62,7 +63,7 @@ class EstimatorKind:
 
     @classmethod
     def box_kernel(cls, width: float) -> "EstimatorKind":
-        return cls("box-kernel", float(width))
+        return cls("box-kernel", width)
 
 
 @dataclass(frozen=True)

@@ -253,9 +253,25 @@ def check_vertex_name(name: str):
         )
 
 
+def check_names(names, m: int) -> tuple[str, ...]:
+    """The one rule for the names of m vertices: ``None`` stands for
+    V1..Vm; otherwise a list or tuple of m distinct names, each passing
+    :func:`check_vertex_name`. Returns the names as a tuple."""
+    if names is None:
+        return tuple(f"V{i + 1}" for i in range(m))
+    if not isinstance(names, (list, tuple)):
+        raise ValidationError(f"names must be a list of strings, got {names!r}")
+    if len(names) != m:
+        raise ValidationError(f"names has {len(names)} entries for {m} vertices")
+    for name in names:
+        check_vertex_name(name)
+    if len(set(names)) != m:
+        raise ValidationError(f"names must be unique, got {list(names)!r}")
+    return tuple(names)
+
+
 def write_dot(graph: Dag, names: Sequence[str]) -> str:
-    if len(names) != graph.m:
-        raise ValidationError("names length does not match vertex count")
+    names = check_names(names, graph.m)
     lines = ["digraph G {"]
     for name in names:
         lines.append(f'  "{name}";')
@@ -306,6 +322,7 @@ def dag_from_dot(text: str, names: Sequence[str] | None = None) -> tuple[Dag, li
     if names is None:
         names = dot_names
     else:
+        names = check_names(names, len(names))
         missing = set(dot_names) - set(names)
         extra = set(names) - set(dot_names)
         if missing or extra:

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import check_int
 from .graph import (
     Dag,
     creates_cycle,
@@ -41,7 +41,6 @@ from .graph import (
     random_dag,
 )
 from .scores import ScoreReport, Scorer
-from .significance import check_seed
 
 __all__ = [
     "SearchConfig", "SearchResult", "exhaustive_search", "greedy_hill_climb",
@@ -64,14 +63,11 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 0:
-            raise ValidationError("restarts must be >= 0")
-        check_seed(self.seed)
-        mp = self.max_parents
-        if mp is not None and mp != AUTO_MAX_PARENTS and (
-                not isinstance(mp, int) or mp < 0):
-            raise ValidationError("max_parents must be a non-negative int, "
-                                  "None (unlimited) or 'auto'")
+        object.__setattr__(self, "restarts", check_int("restarts", self.restarts, 0))
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
+        if self.max_parents is not None and self.max_parents != AUTO_MAX_PARENTS:
+            object.__setattr__(self, "max_parents",
+                               check_int("max_parents", self.max_parents, 0))
 
     def resolved_max_parents(self, score_kind: str) -> Optional[int]:
         if self.max_parents == AUTO_MAX_PARENTS:

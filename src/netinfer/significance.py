@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ._threads import parallel_map
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_int, check_number
 from .estimators import EstimatorKind, resampled_source_entropy
 from .graph import check_parents
 from .timeseries import EmbeddedView
@@ -34,15 +34,9 @@ LN2 = math.log(2.0)
 
 
 def check_alpha(alpha: float):
-    """The one range check of a significance level: 0 < alpha < 1."""
-    if not 0.0 < alpha < 1.0:
+    """The one check of a significance level: a number with 0 < alpha < 1."""
+    if not 0.0 < check_number("alpha", alpha) < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
-
-
-def check_seed(seed: int):
-    """The one range check of a random seed: seed >= 0."""
-    if seed < 0:
-        raise ValidationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -51,8 +45,7 @@ class Chi2Params:
     alpha: float
 
     def __post_init__(self):
-        if self.df < 1:
-            raise ValidationError("degrees of freedom must be >= 1")
+        object.__setattr__(self, "df", check_int("degrees of freedom", self.df, 1))
         check_alpha(self.alpha)
 
 
@@ -65,11 +58,10 @@ class SurrogateConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValidationError("surrogate count must be >= 1")
+        object.__setattr__(self, "count", check_int("surrogate count", self.count, 1))
         if self.method not in ("permutation", "bootstrap"):
             raise ValidationError(f"unknown surrogate method {self.method!r}")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
 
 
 def te_statistic(te_bits: float, n_effective: int) -> float:

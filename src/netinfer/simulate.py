@@ -20,27 +20,14 @@ valid only when the spectral radius of A stays below one.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
-from .graph import Dag, check_vertex_name, is_acyclic
-from .significance import check_seed
+from .errors import NumericError, ValidationError, check_int, check_number
+from .graph import Dag, check_names, is_acyclic
 from .timeseries import TimeSeriesSet
-
-
-def _number(name: str, value) -> float:
-    """``value`` as a float; a bool, a string or an int beyond float range is
-    no number here, whatever ``float()`` would make of it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{name} is too large for a float") from None
 
 
 def _numbers(name: str, values) -> tuple:
@@ -48,7 +35,7 @@ def _numbers(name: str, values) -> tuple:
     if not isinstance(values, (list, tuple, np.ndarray)):
         raise ValidationError(f"{name} must be a list of numbers, got {values!r}")
     for v in values:
-        _number(f"each {name} entry", v)
+        check_number(f"each {name} entry", v)
     return tuple(values)
 
 
@@ -58,8 +45,8 @@ class CoupledLogisticModel:
     epsilon: float = 0.4
 
     def __post_init__(self):
-        _number("r", self.r)
-        _number("epsilon", self.epsilon)
+        check_number("r", self.r)
+        check_number("epsilon", self.epsilon)
         if not 0.0 < self.epsilon < 1.0:
             raise ValidationError("epsilon must satisfy 0 < epsilon < 1")
         if self.r <= 0:
@@ -103,7 +90,7 @@ class LinearGaussianModel:
                 f"coupling must be a list of rows of numbers, got {self.coupling!r}")
         object.__setattr__(self, "coupling", tuple(
             tuple(map(float, _numbers("coupling row", row))) for row in self.coupling))
-        _number("self_weight", self.self_weight)
+        check_number("self_weight", self.self_weight)
 
     def start(self, cfg: GdsConfig, rng):
         """Initial state (zero unless given), noise-free map x -> A x and no
@@ -147,34 +134,16 @@ class GdsConfig:
     def __post_init__(self):
         """Check every field once; n, burn_in and seed become int, the noise
         levels float and the sequences tuples."""
-        for key in ("n", "burn_in", "seed"):  # 2000 and 2000.0, not 2000.9
-            value = getattr(self, key)
-            if not _number(key, value).is_integer():
-                raise ValidationError(f"{key} must be an integer, got {value!r}")
-            object.__setattr__(self, key, int(value))
+        for key, minimum in (("n", 2), ("burn_in", 0), ("seed", 0)):
+            object.__setattr__(self, key, check_int(key, getattr(self, key), minimum))
         for key in ("process_noise_std", "obs_noise_std"):
-            object.__setattr__(self, key, _number(key, getattr(self, key)))
-        if self.n < 2:
-            raise ValidationError("n must be >= 2")
-        if self.burn_in < 0:
-            raise ValidationError("burn_in must be >= 0")
-        if self.process_noise_std < 0:
-            raise ValidationError("process_noise_std must be >= 0")
-        if self.obs_noise_std < 0:
-            raise ValidationError("obs_noise_std must be >= 0")
-        check_seed(self.seed)
+            value = check_number(key, getattr(self, key))
+            if value < 0:
+                raise ValidationError(f"{key} must be >= 0")
+            object.__setattr__(self, key, value)
         if not is_acyclic(self.graph):
             raise ValidationError("ground-truth graph must be acyclic")
-        names = self.names
-        if names is None:
-            names = tuple(f"V{i + 1}" for i in range(self.graph.m))
-        if not isinstance(names, (list, tuple)):
-            raise ValidationError(f"names must be a list of strings, got {names!r}")
-        object.__setattr__(self, "names", tuple(names))
-        if len(self.names) != self.graph.m:
-            raise ValidationError("names length does not match vertex count")
-        for name in self.names:
-            check_vertex_name(name)
+        object.__setattr__(self, "names", check_names(self.names, self.graph.m))
         if self.initial_states is not None:
             object.__setattr__(self, "initial_states",
                                _numbers("initial_states", self.initial_states))

@@ -17,8 +17,26 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
-from .graph import check_vertex_name
+from .errors import DataFormatError, ValidationError, check_int
+from .graph import check_names
+
+
+def _check_matrix(values: np.ndarray, names) -> tuple[str, ...]:
+    """The one rule for an (M, N) data matrix: 2-d, M >= 1 subsystems,
+    N >= 2 samples, every value finite. Returns its names, checked by
+    :func:`~netinfer.graph.check_names` against M."""
+    if values.ndim != 2:
+        raise ValidationError("series must be a 2-d array of shape (M, N)")
+    m, n = values.shape
+    if m < 1:
+        raise ValidationError("need at least one subsystem")
+    if n < 2:
+        raise ValidationError("need at least two samples per subsystem")
+    names = check_names(names, m)
+    if not np.all(np.isfinite(values)):
+        i, t = np.argwhere(~np.isfinite(values))[0]
+        raise ValidationError(f"non-finite value in series {names[i]} at index {t}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -29,30 +47,10 @@ class TimeSeriesSet:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        arr = np.asarray(self.series, dtype=float)
-        if arr.ndim != 2:
-            raise ValidationError("series must be a 2-d array of shape (M, N)")
-        m, n = arr.shape
-        if m < 1:
-            raise ValidationError("need at least one subsystem")
-        if n < 2:
-            raise ValidationError("need at least two samples per subsystem")
-        if not np.all(np.isfinite(arr)):
-            i, t = np.argwhere(~np.isfinite(arr))[0]
-            raise ValidationError(
-                f"non-finite value in series {self.names[i] if len(self.names) == m else i} "
-                f"at index {t}"
-            )
-        if len(self.names) != m:
-            raise ValidationError("names length does not match subsystem count")
-        if len(set(self.names)) != m:
-            raise ValidationError("subsystem names must be unique")
-        for name in self.names:
-            check_vertex_name(name)
-        arr = arr.copy()
+        arr = np.array(self.series, dtype=float)
+        object.__setattr__(self, "names", _check_matrix(arr, self.names))
         arr.flags.writeable = False
         object.__setattr__(self, "series", arr)
-        object.__setattr__(self, "names", tuple(self.names))
 
     @property
     def m(self) -> int:
@@ -65,10 +63,7 @@ class TimeSeriesSet:
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[float]],
                      names: Sequence[str] | None = None) -> "TimeSeriesSet":
-        arr = np.asarray(columns, dtype=float)
-        if names is None:
-            names = tuple(f"V{i + 1}" for i in range(arr.shape[0]))
-        return cls(arr, tuple(names))
+        return cls(columns, names)
 
 
 @dataclass(frozen=True)
@@ -80,19 +75,24 @@ class DiscretizedSeries:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        sym = np.asarray(self.symbols, dtype=np.int64)
-        m, _ = sym.shape
-        if len(self.alphabet_sizes) != m or len(self.names) != m:
-            raise ValidationError("per-subsystem metadata does not match M")
-        for i, r in enumerate(self.alphabet_sizes):
-            if r < 2:
-                raise ValidationError(f"alphabet size of subsystem {i} must be >= 2")
-            col = sym[i]
+        values = np.asarray(self.symbols, dtype=float)
+        names = _check_matrix(values, self.names)
+        if len(self.alphabet_sizes) != len(names):
+            raise ValidationError(f"alphabet_sizes has {len(self.alphabet_sizes)} "
+                                  f"entries for {len(names)} subsystems")
+        sizes = tuple(check_int(f"alphabet size of subsystem {i}", r, 2)
+                      for i, r in enumerate(self.alphabet_sizes))
+        for i, r in enumerate(sizes):
+            col = values[i]
+            if not np.array_equal(col, np.floor(col)):
+                raise ValidationError(f"symbols of subsystem {i} must be integers")
             if col.min() < 0 or col.max() >= r:
                 raise ValidationError(f"symbol out of range for subsystem {i}")
-        sym = sym.copy()
+        sym = values.astype(np.int64)
         sym.flags.writeable = False
         object.__setattr__(self, "symbols", sym)
+        object.__setattr__(self, "alphabet_sizes", sizes)
+        object.__setattr__(self, "names", names)
 
     @property
     def m(self) -> int:
@@ -106,10 +106,7 @@ class DiscretizedSeries:
     def from_symbols(cls, symbols, alphabet_sizes,
                      names: Sequence[str] | None = None) -> "DiscretizedSeries":
         """Wrap already-discrete sequences."""
-        sym = np.asarray(symbols, dtype=np.int64)
-        if names is None:
-            names = tuple(f"V{i + 1}" for i in range(sym.shape[0]))
-        return cls(sym, tuple(int(r) for r in alphabet_sizes), tuple(names))
+        return cls(symbols, alphabet_sizes, names)
 
 
 @dataclass(frozen=True)
@@ -122,13 +119,10 @@ class EmbeddingSpec:
     def __post_init__(self):
         if len(self.tau) != len(self.kappa):
             raise ValidationError("tau and kappa must have the same length")
-        for i, (t, k) in enumerate(zip(self.tau, self.kappa)):
-            if t < 1:
-                raise ValidationError(f"tau of subsystem {i} must be >= 1")
-            if k < 1:
-                raise ValidationError(f"kappa of subsystem {i} must be >= 1")
-        object.__setattr__(self, "tau", tuple(int(t) for t in self.tau))
-        object.__setattr__(self, "kappa", tuple(int(k) for k in self.kappa))
+        object.__setattr__(self, "tau", tuple(
+            check_int(f"tau of subsystem {i}", t, 1) for i, t in enumerate(self.tau)))
+        object.__setattr__(self, "kappa", tuple(
+            check_int(f"kappa of subsystem {i}", k, 1) for i, k in enumerate(self.kappa)))
 
     @classmethod
     def uniform(cls, m: int, tau: int = 1, kappa: int = 2) -> "EmbeddingSpec":
@@ -297,15 +291,11 @@ def discretize(ts: TimeSeriesSet, bins: Union[int, Sequence[int]]) -> Discretize
     whose range (zero for a constant) gives no bins+1 distinct float64 edges
     is rejected before anything is divided by the bin width.
     """
-    if isinstance(bins, (int, np.integer)):
-        per = [int(bins)] * ts.m
-    else:
-        per = [int(b) for b in bins]
-        if len(per) != ts.m:
-            raise ValidationError(f"bins list has {len(per)} entries for {ts.m} subsystems")
-    for i, b in enumerate(per):
-        if b < 2:
-            raise ValidationError(f"bins for subsystem {ts.names[i]!r} must be >= 2")
+    per = [bins] * ts.m if np.ndim(bins) == 0 else list(bins)
+    if len(per) != ts.m:
+        raise ValidationError(f"bins list has {len(per)} entries for {ts.m} subsystems")
+    per = [check_int(f"bins for subsystem {name!r}", b, 2)
+           for name, b in zip(ts.names, per)]
 
     symbols = np.empty_like(ts.series, dtype=np.int64)
     for i in range(ts.m):

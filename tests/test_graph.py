@@ -176,6 +176,8 @@ def test_dot_name_remap_mismatch():
     text = ni.write_dot(ni.Dag.from_edges(2, [(0, 1)]), ["a", "b"])
     with pytest.raises(ValidationError, match="names do not match"):
         ni.dag_from_dot(text, names=["a", "c"])
+    with pytest.raises(ValidationError, match="unique"):
+        ni.dag_from_dot(text, names=["a", "a", "b"])
 
 
 def test_dot_rejects_garbage():
@@ -188,6 +190,12 @@ def test_dot_rejects_garbage():
 def test_dot_unsafe_names_rejected(name):
     with pytest.raises(ValidationError, match="cannot be written to DOT"):
         ni.TimeSeriesSet(np.zeros((2, 3)), (name, "ok"))
+
+
+@pytest.mark.parametrize("names", [['a"b', "c"], ["a", "a"], ["a", 1], ["a"]])
+def test_write_dot_writes_only_what_parse_dot_reads_back(names):
+    with pytest.raises(ValidationError):
+        ni.write_dot(ni.Dag.empty(2), names)
 
 
 @settings(deadline=None, max_examples=200)

@@ -37,6 +37,8 @@ def test_epsilon_bounds_rejected():
                          n=2000.5),
     lambda: ni.CoupledLogisticModel(r=True),
     lambda: ni.LinearGaussianModel(coupling=((0, "1"), (0, 0))),
+    lambda: ni.GdsConfig(graph=chain_dag(3), model=ni.CoupledLogisticModel(),
+                         names=["V1", "V1", "V3"]),
 ])
 def test_config_types_are_checked_at_construction(build):
     # the checks a simulate config gets from the CLI, for library callers too

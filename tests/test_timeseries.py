@@ -277,6 +277,23 @@ def test_embedding_spec_validation():
         ni.EmbeddingSpec(tau=(1,), kappa=(0,))
 
 
+@pytest.mark.parametrize("symbols, sizes, names", [
+    ([0, 1, 0], (2,), ("a",)),
+    (np.zeros((0, 3)), (), ()),
+    ([[0]], (2,), ("a",)),
+    ([[0, 0.7, 1]], (2,), ("a",)),
+    ([[0, np.nan, 1]], (2,), ("a",)),
+    ([[0, 1], [1, 0]], (2, 2), ("a", "a")),
+    ([[0, 1]], (2,), ('a"b',)),
+    ([[0, 1]], (2,), (1,)),
+], ids=["1-d", "M=0", "N=1", "fraction", "nan", "repeated-name", "quote-name",
+        "int-name"])
+def test_discretized_series_checks_like_time_series(symbols, sizes, names):
+    # the matrix and name rules of TimeSeriesSet, and integer symbols
+    with pytest.raises(ValidationError):
+        ni.DiscretizedSeries(symbols, sizes, names)
+
+
 def test_view_is_read_only(chain3_discrete_view):
     with pytest.raises(ValueError):
         chain3_discrete_view.targets[0, 0] = 9
