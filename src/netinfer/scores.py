@@ -23,10 +23,10 @@ returns the memo entry of a ``parents`` tuple that is already a stored key
 (the search's sorted tuples) as it stands; other input is sorted and made
 ints first. A miss checks it with :func:`graph.check_parents`.
 
-``Scorer.local_bound`` is an upper bound of a local that runs no
-surrogates, for the greedy climb's pruning: the memoised local if there is
-one, ``te + _BOUND_SLACK`` for a discrete-plugin ``tee`` local, and the
-exact local for every other score and estimator.
+``Scorer.local_bound`` is an upper bound of a local for the greedy climb's
+pruning, and ``Scorer.draw_chunk`` tightens it for a ``tee`` local: it draws
+the next chunk of the local's surrogate population, kept as floats until the
+population is complete, and a complete population gives the exact local.
 """
 
 from __future__ import annotations
@@ -46,8 +46,10 @@ from .significance import (
     check_alpha,
     chi2_quantile,
     derive_seed,
+    draw_surrogates,
     empirical_quantile,
     gaussian_te_degrees_of_freedom,
+    quantile_rank,
     surrogate_te_samples,
     te_degrees_of_freedom,
     te_statistic,
@@ -69,7 +71,8 @@ IC_KINDS = ("aic", "bic", "ml")
 # monotone, fl(te - q) <= fl(te + slack). 1e-9 leaves a wide margin.
 # The linear-Gaussian CMI goes through solve/slogdet on covariances with
 # condition numbers up to estimators._COND_LIMIT, and box-kernel TEs can be
-# negative: neither has a provable slack, so both stay exact.
+# negative: neither has a provable slack, so both bound a local only from
+# drawn surrogates.
 _BOUND_SLACK = 1e-9
 
 
@@ -184,6 +187,13 @@ class Scorer:
         self.alpha = alpha if score_kind in ("tea", "tee") else None
         self.surrogates = surrogates if score_kind == "tee" else None
         self.cache = LocalScoreCache()
+        # partial tee populations: (vertex, parents) -> the values drawn so
+        # far, in draw order, until local() completes and memoises them
+        self._drawn: dict = {}
+        if self.surrogates is not None:
+            # the quantile is the first_chunk-th largest of the population
+            count = self.surrogates.count
+            self._first_chunk = count - quantile_rank(alpha, count) + 1
 
     # -- pieces ----------------------------------------------------------
 
@@ -247,18 +257,58 @@ class Scorer:
         return found
 
     def local_bound(self, vertex: int, parents: Sequence[int]) -> float:
-        """An upper bound of ``local(vertex, parents).local`` that runs no
-        surrogates: exact but for a discrete-plugin ``tee`` local not yet
-        memoised, whose bound is ``te + _BOUND_SLACK``."""
+        """An upper bound of ``local(vertex, parents).local``: the memoised
+        local if there is one, and the exact local for every score but
+        ``tee``. A ``tee`` local is te - q, where q is the r-th smallest of K
+        surrogate values (r from :func:`quantile_rank`), that is the
+        (K - r + 1)-th largest. Once at least K - r + 1 values are drawn, the
+        (K - r + 1)-th largest of them, L, is at most q, and since rounding
+        is monotone the bound is ``te - L``. With fewer drawn, a
+        discrete-plugin local is bounded by ``te + _BOUND_SLACK``; the other
+        estimators first draw the first chunk (:meth:`draw_chunk`)."""
         parents = tuple(sorted(int(p) for p in parents))
-        found = self.cache.store.get((vertex, parents))
+        key = (vertex, parents)
+        found = self.cache.store.get(key)
         if found is not None:
             return found.local
-        if (self.score_kind != "tee" or not parents
-                or self.estimator.method != "discrete-plugin"):
+        if self.score_kind != "tee" or not parents:
             return self.local(vertex, parents).local
         check_parents(vertex, parents, self.view.m_total)
-        return self._entropy(vertex) - self._entropy(vertex, parents) + _BOUND_SLACK
+        drawn = self._drawn.get(key)
+        if drawn is None and self.estimator.method != "discrete-plugin":
+            self.draw_chunk(vertex, parents)  # which may complete the local
+            return self.local_bound(vertex, parents)
+        te = self._entropy(vertex) - self._entropy(vertex, parents)
+        if drawn is None:
+            return te + _BOUND_SLACK
+        return te - sorted(drawn)[-self._first_chunk]
+
+    def draw_chunk(self, vertex: int, parents: Sequence[int]) -> bool:
+        """Draw the next chunk of a ``tee`` local's surrogate population, and
+        return whether there was one: False when the local is memoised or
+        has no population. The first chunk is K - r + 1 draws (see
+        :meth:`local_bound`) and each later one doubles the count drawn; a
+        chunk that would reach K completes the population through
+        :meth:`local`."""
+        parents = tuple(sorted(int(p) for p in parents))
+        key = (vertex, parents)
+        if self.score_kind != "tee" or not parents or key in self.cache.store:
+            return False
+        check_parents(vertex, parents, self.view.m_total)
+        drawn = self._drawn.get(key, [])
+        stop = 2 * len(drawn) if drawn else self._first_chunk
+        if stop >= self.surrogates.count:
+            self.local(vertex, parents)
+        else:
+            self._drawn[key] = drawn + draw_surrogates(
+                vertex, parents, self.view, self.estimator,
+                self._plan(vertex, parents), len(drawn), stop)
+        return True
+
+    def _plan(self, vertex: int, parents: tuple[int, ...]) -> SurrogateConfig:
+        """The surrogate plan of one (vertex, parents) population."""
+        cfg = self.surrogates
+        return replace(cfg, seed=derive_seed(cfg.seed, "vertex", vertex, parents))
 
     def _compute_local(self, vertex: int, parents: tuple[int, ...]) -> LocalScore:
         kind = self.score_kind
@@ -278,11 +328,13 @@ class Scorer:
             penalty = self._tea_penalty(vertex, parents)
             stat = te_statistic(te, self.n_effective)
             return LocalScore(te=te, penalty=penalty, local=stat - penalty)
-        # tee: deterministic surrogate population per (vertex, parent set)
-        cfg = self.surrogates
+        # tee: deterministic surrogate population per (vertex, parent set),
+        # completed from the values draw_chunk has drawn
+        key = (vertex, parents)
         samples = surrogate_te_samples(
             vertex, parents, self.view, self.estimator,
-            replace(cfg, seed=derive_seed(cfg.seed, "vertex", vertex, parents)))
+            self._plan(vertex, parents), drawn=self._drawn.get(key, ()))
+        self._drawn.pop(key, None)
         quantile = empirical_quantile(samples, self.alpha)
         return LocalScore(te=te, penalty=quantile, local=te - quantile)
 

@@ -129,8 +129,29 @@ def resample_rows(block: np.ndarray, method: str, rng: np.random.Generator) -> n
     return block[rng.integers(0, len(block), size=len(block))]
 
 
+def draw_surrogates(dest: int, sources, view: EmbeddedView, kind: EstimatorKind,
+                    cfg: SurrogateConfig, start: int, stop: int) -> list[float]:
+    """Surrogate transfer entropies ``start..stop-1`` of the population that
+    :func:`surrogate_te_samples` returns whole: draw i uses a seed derived
+    from (cfg.seed, i), so any split into chunks gives the same values."""
+    sources = tuple(sources)
+    if not sources:
+        raise ValidationError("surrogate test needs a non-empty source set")
+    check_parents(dest, sources, view.m_total)
+    if start >= stop:
+        return []
+    h_self, block, h_full = resampled_source_entropy(dest, sources, view, kind)
+
+    def one(i: int) -> float:
+        rng = np.random.default_rng(derive_seed(cfg.seed, i))
+        return h_self - h_full(resample_rows(block, cfg.method, rng))
+
+    return parallel_map(one, range(start, stop))
+
+
 def surrogate_te_samples(dest: int, sources, view: EmbeddedView,
-                         kind: EstimatorKind, cfg: SurrogateConfig) -> list[float]:
+                         kind: EstimatorKind, cfg: SurrogateConfig,
+                         drawn: Sequence[float] = ()) -> list[float]:
     """Transfer entropies recomputed under the no-association null.
 
     Each sample permutes (or redraws, for bootstrap) the *joint* source
@@ -138,18 +159,24 @@ def surrogate_te_samples(dest: int, sources, view: EmbeddedView,
     correlations survive while the pairing with the destination is
     destroyed. Sample i uses a seed derived from (cfg.seed, i), so results
     are deterministic and independent of evaluation order.
+
+    ``drawn`` is a prefix of the population already computed (samples
+    ``0..len(drawn)-1``, as :func:`draw_surrogates` returns them); only the
+    rest is drawn, and the whole population of ``cfg.count`` values is
+    returned, equal to the call without a prefix.
     """
-    sources = tuple(sources)
-    if not sources:
-        raise ValidationError("surrogate test needs a non-empty source set")
-    check_parents(dest, sources, view.m_total)
-    h_self, block, h_full = resampled_source_entropy(dest, sources, view, kind)
+    if len(drawn) > cfg.count:
+        raise ValidationError(
+            f"{len(drawn)} surrogates drawn of a population of {cfg.count}")
+    return list(drawn) + draw_surrogates(dest, sources, view, kind, cfg,
+                                         len(drawn), cfg.count)
 
-    def one(i: int) -> float:
-        rng = np.random.default_rng(derive_seed(cfg.seed, i))
-        return h_self - h_full(resample_rows(block, cfg.method, rng))
 
-    return parallel_map(one, range(cfg.count))
+def quantile_rank(alpha: float, count: int) -> int:
+    """The 1-based rank of :func:`empirical_quantile` among ``count`` sorted
+    samples: ceil(alpha * count), clamped to 1..count."""
+    # tolerance keeps exact multiples like 0.95*20 from rounding up a rank
+    return min(max(math.ceil(alpha * count - 1e-9), 1), count)
 
 
 def empirical_quantile(samples: Sequence[float], alpha: float) -> float:
@@ -159,6 +186,4 @@ def empirical_quantile(samples: Sequence[float], alpha: float) -> float:
         raise ValidationError("empirical quantile of an empty sample")
     check_alpha(alpha)
     ordered = np.sort(np.asarray(samples, dtype=float))
-    # tolerance keeps exact multiples like 0.95*20 from rounding up a rank
-    rank = math.ceil(alpha * len(ordered) - 1e-9)
-    return float(ordered[min(max(rank, 1), len(ordered)) - 1])
+    return float(ordered[quantile_rank(alpha, len(ordered)) - 1])

@@ -412,6 +412,9 @@ def test_tee_local_computes_two_entropies_population_included(
     ("tee", ni.EstimatorKind.box_kernel(0.3)),
 ])
 def test_local_bound_is_exact_where_no_slack_is_proved(kind, estimator):
+    # te, tea and bic bounds are exact; a linear-Gaussian or box-kernel tee
+    # bound comes from a first chunk of surrogates, so it holds the local
+    # before the population is complete and equals it after
     if estimator.method == "discrete-plugin":
         view = random_discrete_view(3, 400, 2, seed=5)
     else:
@@ -420,7 +423,79 @@ def test_local_bound_is_exact_where_no_slack_is_proved(kind, estimator):
     for v in range(3):
         for ps in _parent_sets(3, v):
             sc = ni.Scorer(view, kind, estimator, **kw)
-            assert sc.local_bound(v, ps) == sc.local(v, ps).local
+            bound = sc.local_bound(v, ps)
+            exact = sc.local(v, ps).local
+            if kind == "tee":
+                assert bound >= exact
+            else:
+                assert bound == exact
+            assert sc.local_bound(v, ps) == exact
+
+
+@pytest.mark.parametrize("estimator", [
+    DISCRETE, ni.EstimatorKind.linear_gaussian(),
+    ni.EstimatorKind.box_kernel(0.3),
+])
+@pytest.mark.parametrize("count, alpha", [(19, 0.95), (40, 0.9), (199, 0.95)])
+def test_draw_chunk_tightens_the_bound_to_the_exact_local(estimator, count, alpha):
+    view = (random_discrete_view(3, 400, 3, seed=6) if estimator is DISCRETE
+            else _real_view(6))
+    cfg = _tee_cfg(seed=5, count=count)
+
+    def scorer():
+        return ni.Scorer(view, "tee", estimator, alpha=alpha, surrogates=cfg)
+
+    sc = scorer()
+    exact = scorer().local(1, (0, 2))
+    first = count - ni.significance.quantile_rank(alpha, count) + 1
+
+    def drawn():
+        values = sc._drawn.get((1, (0, 2)), [])
+        assert all(isinstance(x, float) for x in values)  # floats only
+        return len(values)
+
+    bounds = [sc.local_bound(1, [2, 0])]
+    counts = [drawn()]
+    while sc.draw_chunk(1, (2, 0)):
+        counts.append(drawn())
+        bounds.append(sc.local_bound(1, (0, 2)))
+    # discrete bounds draw nothing, the others draw the first chunk; each
+    # later chunk doubles the count, and a complete population leaves
+    assert counts[0] == (0 if estimator is DISCRETE else first)
+    partial = [c for c in counts if c]
+    assert partial == [first * 2 ** i for i in range(len(partial))]
+    assert counts[-1] == 0 and 2 * partial[-1] >= count
+    assert all(b >= exact.local for b in bounds)
+    assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+    assert bounds[-1] == exact.local
+    assert sc.local(1, (0, 2)) == exact
+    assert sc.cache.misses == 1 and not sc._drawn
+
+
+@pytest.mark.parametrize("count, alpha", [(1, 0.5), (19, 0.05), (20, 0.05)])
+def test_first_chunk_of_the_whole_population_completes_it(monkeypatch,
+                                                          count, alpha):
+    # K - r + 1 = K: the first chunk is the population, drawn in one call
+    sc = ni.Scorer(random_discrete_view(3, 400, 2, seed=7), "tee", DISCRETE,
+                   alpha=alpha, surrogates=_tee_cfg(count=count))
+    calls = []
+    real = ni.scores.surrogate_te_samples
+    monkeypatch.setattr(ni.scores, "surrogate_te_samples",
+                        lambda *args, **kw: calls.append(kw) or real(*args, **kw))
+    assert sc.draw_chunk(1, (0,))
+    assert calls == [{"drawn": ()}]
+    assert sc.local_bound(1, (0,)) == sc.local(1, (0,)).local
+    assert not sc.draw_chunk(1, (0,))
+
+
+def test_draw_chunk_has_nothing_to_draw_without_a_population():
+    view = random_discrete_view(3, 300, 2, seed=8)
+    for kind in ("te", "tea", "bic"):
+        assert not ni.Scorer(view, kind, DISCRETE).draw_chunk(1, (0,))
+    tee = ni.Scorer(view, "tee", DISCRETE, surrogates=_tee_cfg())
+    assert not tee.draw_chunk(1, ())
+    with pytest.raises(ValidationError):
+        tee.draw_chunk(1, (1,))
 
 
 def test_local_bound_checks_parents_like_local():

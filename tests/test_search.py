@@ -321,6 +321,10 @@ class _ClusterTieScorer:
         return self.local(vertex, parents).local
 
     @staticmethod
+    def draw_chunk(vertex, parents):
+        return False  # every bound is exact
+
+    @staticmethod
     def score(graph):
         return None
 
@@ -367,6 +371,10 @@ class _DriftScorer:
         return self.local(vertex, parents).local
 
     @staticmethod
+    def draw_chunk(vertex, parents):
+        return False  # every bound is exact
+
+    @staticmethod
     def score(graph):
         return None
 
@@ -396,20 +404,21 @@ def test_tie_rule_does_not_drift_or_depend_on_order(monkeypatch, reverse):
 
 @pytest.mark.parametrize("dataset", sorted(_SEARCH_VIEWS))
 def test_lazy_climb_deltas_within_bounds(monkeypatch, dataset):
-    bounds, pairs = {}, []
+    view = _SEARCH_VIEWS[dataset]()
+    bounds = []
 
     def bound(scorer, graph, move):
-        b = bounds[graph.parents, move] = move_bound(scorer, graph, move)
+        b = move_bound(scorer, graph, move)
+        bounds.append((graph, move, b))
         return b
 
-    def delta(scorer, graph, move):
-        d = move_delta(scorer, graph, move)
-        pairs.append((d, bounds[graph.parents, move]))
-        return d
-
     monkeypatch.setattr(search, "move_bound", bound)
-    monkeypatch.setattr(search, "move_delta", delta)
-    greedy_hill_climb(_tee(_SEARCH_VIEWS[dataset]()), SearchConfig(seed=1, restarts=2))
+    greedy_hill_climb(_tee(view), SearchConfig(seed=1, restarts=2))
+    # every bound the climb took, before and after its chunks tightened it,
+    # holds the move's delta; some moves are dropped before any delta is
+    # computed, so the deltas come from a fresh scorer
+    fresh = _tee(view)
+    pairs = [(move_delta(fresh, graph, move), b) for graph, move, b in bounds]
     assert pairs and all(d <= b for d, b in pairs)
     assert any(d < b for d, b in pairs)  # some bounds ran no surrogates
 
@@ -437,3 +446,78 @@ def test_lazy_climb_runs_fewer_populations_and_no_extra_entropies(monkeypatch):
     ref, lazy = counts
     assert 0 < lazy["entropies"] <= ref["entropies"]
     assert 0 < lazy["populations"] < ref["populations"]
+
+
+# ---------------------------------------------------------------------------
+# sequential surrogate populations
+
+def _gaussian_view():
+    coupling = ((0.0, 0.0, 0.0), (0.4, 0.0, 0.0), (0.0, 0.4, 0.0))
+    cfg = ni.GdsConfig(
+        graph=ni.Dag.from_edges(3, [(0, 1), (1, 2)]),
+        model=ni.LinearGaussianModel(coupling=coupling, self_weight=0.5),
+        process_noise_std=1.0, obs_noise_std=0.1, n=800, burn_in=100, seed=6)
+    return ni.delay_embed(ni.simulate(cfg).observations,
+                          ni.EmbeddingSpec.uniform(3, 1, 2))
+
+
+def _box_view():
+    out = simulate_chain(3, seed=302, n=300)
+    return ni.delay_embed(out.observations, ni.EmbeddingSpec.uniform(3, 1, 1))
+
+
+_SEQUENTIAL_DATA = {
+    "discrete": (lambda: _SEARCH_VIEWS["chain5"](), DISCRETE),
+    "linear-gaussian": (_gaussian_view, ni.EstimatorKind.linear_gaussian()),
+    "box-kernel": (_box_view, ni.EstimatorKind.box_kernel(0.1)),
+}
+
+# (surrogate count, alpha, method, restarts): the first chunk K - r + 1 is 10,
+# 1 (the whole population), 2, 1 of 99, 1 and 1
+_SEQUENTIAL_PLANS = {
+    "K199": (199, 0.95, "permutation", 0),
+    "K1": (1, 0.5, "permutation", 0),
+    "alpha0.9": (19, 0.9, "permutation", 0),
+    "alpha0.99": (99, 0.99, "permutation", 0),
+    "bootstrap": (19, 0.95, "bootstrap", 0),
+    "restarts": (19, 0.95, "permutation", 2),
+}
+
+
+def _sequential_scorer(data, plan):
+    view_of, estimator = _SEQUENTIAL_DATA[data]
+    count, alpha, method, _ = _SEQUENTIAL_PLANS[plan]
+    view = view_of()
+    cfg = ni.SurrogateConfig(count, method=method, seed=4)
+    return lambda: ni.Scorer(view, "tee", estimator, alpha=alpha, surrogates=cfg)
+
+
+@pytest.mark.parametrize("plan", sorted(_SEQUENTIAL_PLANS))
+@pytest.mark.parametrize("data", sorted(_SEQUENTIAL_DATA))
+def test_sequential_climb_matches_reference(monkeypatch, data, plan):
+    restarts = _SEQUENTIAL_PLANS[plan][3]
+    _assert_same_search(monkeypatch, _sequential_scorer(data, plan),
+                        SearchConfig(seed=3, restarts=restarts))
+
+
+@pytest.mark.parametrize("plan", ["K199", "alpha0.9", "restarts"])
+@pytest.mark.parametrize("data", sorted(_SEQUENTIAL_DATA))
+def test_dropped_moves_lie_below_their_threshold(monkeypatch, data, plan):
+    make_scorer = _sequential_scorer(data, plan)
+    settled = []
+    real = search._settle
+
+    def settle(scorer, graph, move, top):
+        delta = real(scorer, graph, move, top)
+        settled.append((graph, move, top, delta))
+        return delta
+
+    monkeypatch.setattr(search, "_settle", settle)
+    restarts = _SEQUENTIAL_PLANS[plan][3]
+    greedy_hill_climb(make_scorer(), SearchConfig(seed=3, restarts=restarts))
+    dropped = [(g, m, top) for g, m, top, delta in settled if delta is None]
+    assert dropped
+    fresh = make_scorer()
+    for graph, move, top in dropped:
+        exact = move_delta(fresh, graph, move)
+        assert exact <= 0.0 or exact < top - _TIE_EPS

@@ -10,7 +10,9 @@ import netinfer as ni
 from netinfer.errors import NumericError, ValidationError
 from netinfer.significance import (
     derive_seed,
+    draw_surrogates,
     gaussian_te_degrees_of_freedom,
+    quantile_rank,
     resample_rows,
     te_statistic,
 )
@@ -233,6 +235,37 @@ def test_box_surrogates_bit_identical_to_reference(monkeypatch, method, threads)
         assert got == reference_box_surrogate_te_samples(1, sources, view, 0.1, cfg)
 
 
+def _prefix_case(estimator):
+    if estimator == "discrete":
+        return random_discrete_view(3, 400, 3, seed=12), DISCRETE
+    out = simulate_chain(3, seed=32, n=300)
+    view = ni.delay_embed(out.observations, ni.EmbeddingSpec.uniform(3, 1, 2))
+    if estimator == "linear-gaussian":
+        return view, ni.EstimatorKind.linear_gaussian()
+    return view, ni.EstimatorKind.box_kernel(0.1)
+
+
+@pytest.mark.parametrize("method", ["permutation", "bootstrap"])
+@pytest.mark.parametrize("estimator", ["discrete", "linear-gaussian", "box-kernel"])
+def test_population_completed_from_any_prefix_is_bit_identical(estimator, method):
+    view, kind = _prefix_case(estimator)
+    cfg = ni.SurrogateConfig(count=7, method=method, seed=9)
+    whole = ni.surrogate_te_samples(1, (0, 2), view, kind, cfg)
+    assert len(whole) == cfg.count
+    for split in range(cfg.count + 1):
+        prefix = draw_surrogates(1, (0, 2), view, kind, cfg, 0, split)
+        assert prefix == whole[:split]
+        assert ni.surrogate_te_samples(1, (0, 2), view, kind, cfg,
+                                       drawn=prefix) == whole
+
+
+def test_prefix_longer_than_the_population_rejected():
+    view = random_discrete_view(2, 300, 2, seed=2)
+    cfg = ni.SurrogateConfig(count=3, seed=0)
+    with pytest.raises(ValidationError, match="4 surrogates drawn"):
+        ni.surrogate_te_samples(0, [1], view, DISCRETE, cfg, drawn=[0.0] * 4)
+
+
 def test_null_measurement_is_one_more_draw():
     # independent streams: the measured TE sits inside the surrogate spread
     view = random_discrete_view(2, 2000, 3, seed=5)
@@ -281,6 +314,27 @@ def test_quantile_uniform_samples():
     rng = np.random.default_rng(9)
     samples = rng.uniform(0, 1, 10000)
     assert ni.empirical_quantile(samples, 0.9) == pytest.approx(0.9, abs=0.02)
+
+
+@pytest.mark.parametrize("count", [1, 2, 19, 20, 99, 199])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9, 0.95, 0.99])
+def test_partial_population_bound_holds_for_every_prefix(count, alpha):
+    # the scorer's bound from a prefix: te - L, with L the (K - r + 1)-th
+    # largest value drawn, never falls below the completed local te - q
+    r = quantile_rank(alpha, count)
+    assert 1 <= r <= count
+    first = count - r + 1
+    rng = np.random.default_rng(count)
+    te = 0.05
+    for _ in range(5):
+        population = list(rng.normal(0.0, 0.01, count).round(3))  # with ties
+        q = ni.empirical_quantile(population, alpha)
+        assert q == sorted(population)[r - 1]
+        for j in range(first, count + 1):
+            bound = te - sorted(population[:j])[-first]
+            assert bound >= te - q
+            if j == count:
+                assert bound == te - q
 
 
 def test_quantile_exact_multiple_rank():
