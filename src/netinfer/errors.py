@@ -7,6 +7,7 @@ the one check of an integer setting live here too, so that any module can
 use them without importing another.
 """
 
+import math
 import numbers
 
 
@@ -27,14 +28,18 @@ class NumericError(NetinferError, ArithmeticError):
 
 
 def check_number(name: str, value) -> float:
-    """``value`` as a float; a bool, a string or an int beyond float range is
-    no number here, whatever ``float()`` would make of it."""
+    """``value`` as a finite float; a bool, a string, NaN, an infinity or an
+    int beyond float range is no number here, whatever ``float()`` would
+    make of it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ValidationError(f"{name} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be finite, got {number!r}")
+    return number
 
 
 def check_int(name: str, value, minimum: int) -> int:

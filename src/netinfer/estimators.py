@@ -109,7 +109,7 @@ def _resolve(view: EmbeddedView, selections: Iterable[Selection]) -> np.ndarray:
 # Id spaces up to this size are counted with np.bincount, one int64 table
 # entry per id (2 MB at the cap); larger ones are sorted instead. Each pooled
 # surrogate holds one table at a time. On greedy tee search (M=5, N=10000,
-# 8 bins) five of 31 populations join 66k-135k ids; on the 135k one (2 vCPUs,
+# 8 bins) some populations join 66k-135k ids; on a 135k-id join (2 vCPUs,
 # one thread) 2**18 took 0.40 ms per surrogate against 0.74-0.83 ms at 2**16,
 # and the population's traced peak rose from 1.2 to 1.7 MB.
 _BINCOUNT_CAP = 2 ** 18

@@ -24,9 +24,12 @@ returns the memo entry of a ``parents`` tuple that is already a stored key
 ints first. A miss checks it with :func:`graph.check_parents`.
 
 ``Scorer.local_bound`` is an upper bound of a local for the greedy climb's
-pruning, and ``Scorer.draw_chunk`` tightens it for a ``tee`` local: it draws
-the next chunk of the local's surrogate population, kept as floats until the
+pruning, and draws no surrogate. ``Scorer.draw_chunk``, the only method that
+draws part of a population, tightens it for a ``tee`` local: it draws the
+next chunk of the local's surrogate population, kept as floats until the
 population is complete, and a complete population gives the exact local.
+Before the first chunk a discrete-plugin ``tee`` local is bounded by ``te``
+plus a proved slack, and a linear-Gaussian or box-kernel one by ``inf``.
 """
 
 from __future__ import annotations
@@ -257,15 +260,15 @@ class Scorer:
         return found
 
     def local_bound(self, vertex: int, parents: Sequence[int]) -> float:
-        """An upper bound of ``local(vertex, parents).local``: the memoised
-        local if there is one, and the exact local for every score but
-        ``tee``. A ``tee`` local is te - q, where q is the r-th smallest of K
-        surrogate values (r from :func:`quantile_rank`), that is the
-        (K - r + 1)-th largest. Once at least K - r + 1 values are drawn, the
-        (K - r + 1)-th largest of them, L, is at most q, and since rounding
-        is monotone the bound is ``te - L``. With fewer drawn, a
-        discrete-plugin local is bounded by ``te + _BOUND_SLACK``; the other
-        estimators first draw the first chunk (:meth:`draw_chunk`)."""
+        """An upper bound of ``local(vertex, parents).local`` that draws no
+        surrogate: the memoised local if there is one, and the exact local
+        for every score but ``tee``. A ``tee`` local is te - q, where q is the
+        r-th smallest of K surrogate values (r from :func:`quantile_rank`),
+        that is the (K - r + 1)-th largest. Once :meth:`draw_chunk` has drawn
+        at least K - r + 1 values, the (K - r + 1)-th largest of them, L, is
+        at most q, and since rounding is monotone the bound is ``te - L``.
+        With none drawn, a discrete-plugin local is bounded by
+        ``te + _BOUND_SLACK``, and the other estimators' by ``inf``."""
         parents = tuple(sorted(int(p) for p in parents))
         key = (vertex, parents)
         found = self.cache.store.get(key)
@@ -276,8 +279,7 @@ class Scorer:
         check_parents(vertex, parents, self.view.m_total)
         drawn = self._drawn.get(key)
         if drawn is None and self.estimator.method != "discrete-plugin":
-            self.draw_chunk(vertex, parents)  # which may complete the local
-            return self.local_bound(vertex, parents)
+            return math.inf
         te = self._entropy(vertex) - self._entropy(vertex, parents)
         if drawn is None:
             return te + _BOUND_SLACK
@@ -286,10 +288,10 @@ class Scorer:
     def draw_chunk(self, vertex: int, parents: Sequence[int]) -> bool:
         """Draw the next chunk of a ``tee`` local's surrogate population, and
         return whether there was one: False when the local is memoised or
-        has no population. The first chunk is K - r + 1 draws (see
-        :meth:`local_bound`) and each later one doubles the count drawn; a
-        chunk that would reach K completes the population through
-        :meth:`local`."""
+        has no population. It is the only method that draws. The first chunk
+        is K - r + 1 draws (see :meth:`local_bound`) and each later one
+        doubles the count drawn; a chunk that would reach K completes the
+        population through :meth:`local`."""
         parents = tuple(sorted(int(p) for p in parents))
         key = (vertex, parents)
         if self.score_kind != "tee" or not parents or key in self.cache.store:

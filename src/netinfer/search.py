@@ -17,21 +17,23 @@ sets change, so each step costs a handful of memoized local scores. The
 rule also chooses among the restarts' local optima.
 
 Each step is lazy (Minoux's lazy greedy): it bounds every candidate's delta
-with :meth:`Scorer.local_bound` and takes the moves in decreasing bound
-order, stopping at the first bound that is <= 0 or below the tie window of
-the largest delta so far, since no move from there on can be picked. A
-``tee`` bound comes from the surrogates drawn so far, and sequential
-populations (Besag & Clifford 1991) keep it cheap: each move is re-bounded
-after every chunk that :meth:`Scorer.draw_chunk` draws for its touched
-populations, and dropped as soon as its bound falls to that threshold, so
-its populations are completed, and its exact delta computed, only if it may
-still be picked. Every other score is bounded by its exact local.
-``visited`` counts every candidate, so results are the same as scoring
-every move exactly.
+with :func:`move_bound` and keeps the moves in a max-heap by bound. It pops
+the largest bound until one is <= 0 or below the tie window of the largest
+delta so far, since no move left on the heap can then be picked. A ``tee``
+bound comes from the surrogates drawn so far, and sequential populations
+(Besag & Clifford 1991) keep it cheap: a popped move draws the next chunk of
+each population it touches through :meth:`Scorer.draw_chunk` and goes back
+on the heap with its tightened bound, so its populations are completed, and
+its exact delta computed, only if it may still be picked. A discrete ``tee``
+move starts bounded by ``te`` plus a slack; linear-Gaussian and box-kernel
+moves start unbounded and draw their first chunk when first popped. Every
+other score is bounded by its exact local. ``visited`` counts every
+candidate, so results are the same as scoring every move exactly.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -183,39 +185,31 @@ def move_bound(scorer: Scorer, graph: Dag, move) -> float:
     return _change(scorer, graph, move, scorer.local_bound)
 
 
-def _settle(scorer: Scorer, graph: Dag, move, top: float) -> Optional[float]:
-    """The exact delta of a move, or None once its bound is <= 0 or below
-    top - _TIE_EPS: re-bound the move and draw the next chunk of each touched
-    population until one of the two, or until every touched local is exact."""
-    while True:
-        bound = move_bound(scorer, graph, move)
-        if bound <= 0.0 or bound < top - _TIE_EPS:
-            return None
-        drew = [scorer.draw_chunk(v, new) for v, _, new in _touched(graph, move)]
-        if not any(drew):
-            return move_delta(scorer, graph, move)
-
-
 def _step(scorer: Scorer, graph: Dag, moves):
     """The rule's pick among the moves with a positive delta, as
     (delta, edges after, move), or None.
 
-    Moves are taken in decreasing order of their first bound. The walk stops
-    at the first such bound <= 0, whose move cannot be positive, or below
-    top - _TIE_EPS, where top is the largest delta so far: that move and all
-    after it have deltas below the tie window, so the rule never picks them.
-    :func:`_settle` drops a move on the same test against its tightened bound.
+    A max-heap holds each move's current bound. Each round pops the largest;
+    the walk stops once it is <= 0, where no move left can be positive, or
+    below top - _TIE_EPS, with top the largest delta so far, where no move
+    left lies in the rule's tie window. Otherwise the popped move draws the
+    next chunk of each population it touches and goes back with its
+    tightened bound, or, with nothing left to draw, gets its exact delta.
     """
-    bounds = [move_bound(scorer, graph, move) for move in moves]
+    heap = [(-move_bound(scorer, graph, move), i) for i, move in enumerate(moves)]
+    heapq.heapify(heap)
     top = -np.inf
     candidates = []
-    for i in sorted(range(len(moves)), key=lambda i: -bounds[i]):
-        if bounds[i] <= 0.0 or bounds[i] < top - _TIE_EPS:
+    while heap:
+        negated, i = heapq.heappop(heap)
+        if -negated <= 0.0 or -negated < top - _TIE_EPS:
             break
         move = moves[i]
-        delta = _settle(scorer, graph, move, top)
-        if delta is None:
+        # a list, not a generator: every touched population draws its chunk
+        if any([scorer.draw_chunk(v, new) for v, _, new in _touched(graph, move)]):
+            heapq.heappush(heap, (-move_bound(scorer, graph, move), i))
             continue
+        delta = move_delta(scorer, graph, move)
         top = max(top, delta)
         if delta > 0.0:
             candidates.append((delta, _apply(graph, move).edges(), move))

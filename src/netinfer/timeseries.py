@@ -13,7 +13,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class TimeSeriesSet:
     """M aligned scalar observation sequences of length N."""
 
     series: np.ndarray  # shape (M, N), float64
-    names: tuple[str, ...]
+    names: Optional[tuple[str, ...]] = None  # None: V1, ..., VM
 
     def __post_init__(self):
         arr = np.array(self.series, dtype=float)
@@ -60,11 +60,6 @@ class TimeSeriesSet:
     def n(self) -> int:
         return self.series.shape[1]
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[float]],
-                     names: Sequence[str] | None = None) -> "TimeSeriesSet":
-        return cls(columns, names)
-
 
 @dataclass(frozen=True)
 class DiscretizedSeries:
@@ -72,7 +67,7 @@ class DiscretizedSeries:
 
     symbols: np.ndarray  # shape (M, N), int64
     alphabet_sizes: tuple[int, ...]
-    names: tuple[str, ...]
+    names: Optional[tuple[str, ...]] = None  # None: V1, ..., VM
 
     def __post_init__(self):
         values = np.asarray(self.symbols, dtype=float)
@@ -101,12 +96,6 @@ class DiscretizedSeries:
     @property
     def n(self) -> int:
         return self.symbols.shape[1]
-
-    @classmethod
-    def from_symbols(cls, symbols, alphabet_sizes,
-                     names: Sequence[str] | None = None) -> "DiscretizedSeries":
-        """Wrap already-discrete sequences."""
-        return cls(symbols, alphabet_sizes, names)
 
 
 @dataclass(frozen=True)

@@ -514,7 +514,7 @@ def random_discrete_view(m: int, n: int, symbols: int, seed: int,
                          kappa: int = 1) -> ni.EmbeddedView:
     rng = np.random.default_rng(seed)
     sym = rng.integers(0, symbols, size=(m, n))
-    disc = ni.DiscretizedSeries.from_symbols(sym, (symbols,) * m)
+    disc = ni.DiscretizedSeries(sym, (symbols,) * m)
     return ni.delay_embed(disc, ni.EmbeddingSpec.uniform(m, 1, kappa))
 
 

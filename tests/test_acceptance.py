@@ -121,7 +121,7 @@ def test_criterion_4_chi2_machinery():
     for trial in range(500):
         rng = np.random.default_rng(30_000 + trial)
         sym = rng.integers(0, 2, size=(2, 10_001))
-        disc = ni.DiscretizedSeries.from_symbols(sym, (2, 2))
+        disc = ni.DiscretizedSeries(sym, (2, 2))
         view = ni.delay_embed(disc, ni.EmbeddingSpec.uniform(2, 1, 1))
         te = ni.collective_transfer_entropy(1, [0], view, DISCRETE)
         stats.append(te_statistic(te, view.rows))
@@ -144,7 +144,7 @@ def test_criterion_5_tee_null_calibration():
     for trial in range(trials):
         rng = np.random.default_rng(10_000 + trial)
         sym = rng.integers(0, 4, size=(2, 1000))
-        disc = ni.DiscretizedSeries.from_symbols(sym, (4, 4))
+        disc = ni.DiscretizedSeries(sym, (4, 4))
         view = ni.delay_embed(disc, ni.EmbeddingSpec.uniform(2, 1, 1))
         surr = ni.SurrogateConfig(count=19, seed=trial)
         sc = ni.Scorer(view, "tee", DISCRETE, alpha=0.95, surrogates=surr)
@@ -155,7 +155,7 @@ def test_criterion_5_tee_null_calibration():
     rejections = 0
     for trial in range(trials):
         rng = np.random.default_rng(20_000 + trial)
-        ts = ni.TimeSeriesSet.from_columns(rng.standard_normal((2, 400)))
+        ts = ni.TimeSeriesSet(rng.standard_normal((2, 400)))
         view = ni.delay_embed(ts, ni.EmbeddingSpec.uniform(2, 1, 1))
         surr = ni.SurrogateConfig(count=19, seed=trial)
         sc = ni.Scorer(view, "tee", ni.EstimatorKind.box_kernel(0.3),

@@ -72,6 +72,9 @@ def test_simulate_invalid_epsilon_names_field(tmp_path, capsys):
     ("model", {"type": "linear-gaussian", "self_weight": 0.5,
                "coupling": [["a", 0, 0], [0, 0, 0], [0, 0, 0]]}),
     ("model", {"type": "linear-gaussian", "self_weight": 0.5}),
+    # json writes NaN, and Python's json reads it back
+    ("model", {"type": "linear-gaussian", "self_weight": float("nan"),
+               "coupling": [[0, 0, 0], [0.2, 0, 0], [0, 0.2, 0]]}),
 ])
 def test_simulate_config_parse_error_exits_1(tmp_path, field, value):
     cfg = _chain_config(tmp_path)
@@ -356,7 +359,7 @@ def test_score_report_schema(tmp_path, simulated):
 def test_infer_single_vertex_returns_empty_graph(tmp_path):
     rng = np.random.default_rng(0)
     data = tmp_path / "one.csv"
-    ni.write_csv(ni.TimeSeriesSet.from_columns([rng.random(200)], ["only"]), data)
+    ni.write_csv(ni.TimeSeriesSet([rng.random(200)], ["only"]), data)
     out = tmp_path / "run"
     assert main(["infer", "--data", str(data), "--out-dir", str(out),
                  "--search", "exhaustive", "--score", "tee", "--bins", "4",
@@ -452,7 +455,7 @@ def test_infer_outputs_validate_against_schemas(tmp_path, simulated):
 def test_infer_exhaustive_too_many_vertices(tmp_path, capsys):
     rng = np.random.default_rng(1)
     data = tmp_path / "wide.csv"
-    ni.write_csv(ni.TimeSeriesSet.from_columns(rng.random((7, 50))), data)
+    ni.write_csv(ni.TimeSeriesSet(rng.random((7, 50))), data)
     code = main(["infer", "--data", str(data), "--out-dir", str(tmp_path / "x"),
                  "--search", "exhaustive", "--score", "te", "--bins", "2"])
     assert code == 1

@@ -1,5 +1,6 @@
 """Every integer and real-number setting goes through one check at
-construction: integral numbers only for integers, no bools or strings."""
+construction: integral numbers only for integers, finite numbers only for
+numbers, no bools or strings."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import netinfer as ni
 from netinfer.errors import ValidationError
 
-_TS = ni.TimeSeriesSet.from_columns([[0.0, 1.0, 2.0, 3.0], [3.0, 1.0, 2.0, 0.0]])
+_TS = ni.TimeSeriesSet([[0.0, 1.0, 2.0, 3.0], [3.0, 1.0, 2.0, 0.0]])
 _VIEW = ni.delay_embed(ni.discretize(_TS, 2), ni.EmbeddingSpec.uniform(2))
 
 
@@ -43,6 +44,14 @@ NUMBER_SETTINGS = {
     "Scorer alpha": (lambda v: ni.Scorer(_VIEW, "tea", alpha=v), 0.5),
     "empirical_quantile alpha": (lambda v: ni.empirical_quantile([1.0], v), 0.5),
     "EstimatorKind.width": (lambda v: ni.EstimatorKind("box-kernel", v), 2),
+    "GdsConfig.process_noise_std": (lambda v: _gds(process_noise_std=v), 0.5),
+    "GdsConfig.obs_noise_std": (lambda v: _gds(obs_noise_std=v), 0.5),
+    "GdsConfig.initial_states": (lambda v: _gds(initial_states=(v,)), 0.5),
+    "CoupledLogisticModel.r": (lambda v: ni.CoupledLogisticModel(r=v), 3.5),
+    "CoupledLogisticModel.epsilon": (lambda v: ni.CoupledLogisticModel(epsilon=v), 0.5),
+    "LinearGaussianModel.coupling": (lambda v: ni.LinearGaussianModel(((v,),)), 0.5),
+    "LinearGaussianModel.self_weight": (
+        lambda v: ni.LinearGaussianModel(((0.0,),), self_weight=v), 0.5),
 }
 
 
@@ -62,7 +71,7 @@ def test_integer_settings_take_integral_numbers_only(setting, value, ok):
 @pytest.mark.parametrize("setting", NUMBER_SETTINGS)
 def test_number_settings_take_numbers_only(setting):
     build, good = NUMBER_SETTINGS[setting]
-    for bad in (True, str(good)):
+    for bad in (True, str(good), float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValidationError):
             build(bad)
     build(np.float64(good))

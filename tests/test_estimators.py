@@ -34,7 +34,7 @@ GAUSSIAN = ni.EstimatorKind.linear_gaussian()
 
 
 def _pair_view(a, b, alphabet, kappa=1):
-    disc = ni.DiscretizedSeries.from_symbols(np.vstack([a, b]), alphabet)
+    disc = ni.DiscretizedSeries(np.vstack([a, b]), alphabet)
     return ni.delay_embed(disc, ni.EmbeddingSpec.uniform(2, 1, kappa))
 
 
@@ -61,7 +61,7 @@ def test_identical_target_and_conditioner_is_exactly_zero():
 def test_gaussian_scalar_closed_form():
     rng = np.random.default_rng(3)
     z = rng.standard_normal(2000)
-    view = ni.delay_embed(ni.TimeSeriesSet.from_columns([z]),
+    view = ni.delay_embed(ni.TimeSeriesSet([z]),
                           ni.EmbeddingSpec.uniform(1, 1, 1))
     res = ni.conditional_entropy(next_value(0), [], view, GAUSSIAN)
     sample_var = np.var(view.target(0), ddof=1)
@@ -159,7 +159,7 @@ def test_plugin_chain_rule_agreement():
 
 
 def test_degenerate_covariance_raises():
-    ts = ni.TimeSeriesSet.from_columns([np.arange(100.0), 2 * np.arange(100.0)])
+    ts = ni.TimeSeriesSet([np.arange(100.0), 2 * np.arange(100.0)])
     view = ni.delay_embed(ts, ni.EmbeddingSpec.uniform(2, 1, 2))
     with pytest.raises(NumericError, match="degenerate covariance"):
         ni.conditional_entropy(next_value(0), [history(0), history(1)],
@@ -170,7 +170,7 @@ def test_kind_data_mismatch_rejected():
     view = random_discrete_view(2, 100, 2, seed=0)
     with pytest.raises(ValidationError, match="real-valued"):
         ni.conditional_entropy(next_value(0), [], view, GAUSSIAN)
-    ts = ni.TimeSeriesSet.from_columns([np.random.default_rng(0).random(50)])
+    ts = ni.TimeSeriesSet([np.random.default_rng(0).random(50)])
     cview = ni.delay_embed(ts, ni.EmbeddingSpec.uniform(1, 1, 1))
     with pytest.raises(ValidationError, match="discretized"):
         ni.conditional_entropy(next_value(0), [], cview, DISCRETE)
@@ -234,7 +234,7 @@ def test_view_memo_stores_no_out_of_range_entropy(method):
 
 
 def test_view_memo_stores_no_degenerate_gaussian():
-    ts = ni.TimeSeriesSet.from_columns([np.arange(100.0), 2 * np.arange(100.0)])
+    ts = ni.TimeSeriesSet([np.arange(100.0), 2 * np.arange(100.0)])
     view = ni.delay_embed(ts, ni.EmbeddingSpec.uniform(2, 1, 2))
     for _ in range(2):
         with pytest.raises(NumericError, match="degenerate covariance"):
@@ -251,7 +251,7 @@ def test_box_kernel_requires_positive_width():
 def test_box_kernel_tracks_gaussian_entropy():
     rng = np.random.default_rng(6)
     z = rng.standard_normal(4000)
-    view = ni.delay_embed(ni.TimeSeriesSet.from_columns([z]),
+    view = ni.delay_embed(ni.TimeSeriesSet([z]),
                           ni.EmbeddingSpec.uniform(1, 1, 1))
     box = ni.conditional_entropy(next_value(0), [history(0)], view,
                                  ni.EstimatorKind.box_kernel(0.3))

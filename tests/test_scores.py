@@ -108,7 +108,7 @@ def test_tee_scorer_warns_below_recommended_count():
 
 def test_tea_rejects_box_kernel():
     rng = np.random.default_rng(4)
-    ts = ni.TimeSeriesSet.from_columns(rng.standard_normal((2, 200)))
+    ts = ni.TimeSeriesSet(rng.standard_normal((2, 200)))
     view = ni.delay_embed(ts, ni.EmbeddingSpec.uniform(2, 1, 1))
     with pytest.raises(ValidationError, match="analytic null"):
         ni.Scorer(view, "tea", ni.EstimatorKind.box_kernel(0.2),
@@ -254,7 +254,7 @@ def test_bic_prefers_true_graph_over_complete(chain3_discrete_view):
 def test_ic_dimension_binary_chain():
     rng = np.random.default_rng(9)
     sym = rng.integers(0, 2, size=(2, 400))
-    disc = ni.DiscretizedSeries.from_symbols(sym, (2, 2))
+    disc = ni.DiscretizedSeries(sym, (2, 2))
     view = ni.delay_embed(disc, ni.EmbeddingSpec.uniform(2, 1, 1))
     report = ni.Scorer(view, "aic").score(chain_dag(2))
     # aic has f(N) = 1, so the reported penalty is the parameter count
@@ -265,7 +265,7 @@ def test_ic_dimension_binary_chain():
 
 def test_ic_requires_discrete():
     rng = np.random.default_rng(10)
-    ts = ni.TimeSeriesSet.from_columns(rng.standard_normal((2, 200)))
+    ts = ni.TimeSeriesSet(rng.standard_normal((2, 200)))
     view = ni.delay_embed(ts, ni.EmbeddingSpec.uniform(2, 1, 1))
     with pytest.raises(ValidationError, match="discretized"):
         ni.Scorer(view, "bic").score(chain_dag(2))
@@ -413,8 +413,7 @@ def test_tee_local_computes_two_entropies_population_included(
 ])
 def test_local_bound_is_exact_where_no_slack_is_proved(kind, estimator):
     # te, tea and bic bounds are exact; a linear-Gaussian or box-kernel tee
-    # bound comes from a first chunk of surrogates, so it holds the local
-    # before the population is complete and equals it after
+    # bound is inf until a chunk is drawn, and the local once it is memoised
     if estimator.method == "discrete-plugin":
         view = random_discrete_view(3, 400, 2, seed=5)
     else:
@@ -426,7 +425,7 @@ def test_local_bound_is_exact_where_no_slack_is_proved(kind, estimator):
             bound = sc.local_bound(v, ps)
             exact = sc.local(v, ps).local
             if kind == "tee":
-                assert bound >= exact
+                assert bound == (math.inf if ps else exact)
             else:
                 assert bound == exact
             assert sc.local_bound(v, ps) == exact
@@ -459,9 +458,11 @@ def test_draw_chunk_tightens_the_bound_to_the_exact_local(estimator, count, alph
     while sc.draw_chunk(1, (2, 0)):
         counts.append(drawn())
         bounds.append(sc.local_bound(1, (0, 2)))
-    # discrete bounds draw nothing, the others draw the first chunk; each
-    # later chunk doubles the count, and a complete population leaves
-    assert counts[0] == (0 if estimator is DISCRETE else first)
+    # a bound draws nothing, and only the discrete one is finite before the
+    # first chunk; each later chunk doubles the count, and a complete
+    # population leaves
+    assert counts[0] == 0
+    assert (bounds[0] == math.inf) == (estimator is not DISCRETE)
     partial = [c for c in counts if c]
     assert partial == [first * 2 ** i for i in range(len(partial))]
     assert counts[-1] == 0 and 2 * partial[-1] >= count

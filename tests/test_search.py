@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import netinfer as ni
-from netinfer import estimators, scores, search
+from netinfer import estimators, scores, search, significance
 from netinfer.errors import ValidationError
 from netinfer.graph import random_dag
 from netinfer.scores import LocalScore
@@ -40,7 +40,7 @@ def _chain_scorer(score_kind="tea", seed=300, **kw):
 def _periodic_view():
     # perfectly periodic data: every conditional entropy is exactly zero
     sym = np.tile([0, 1], 100)
-    disc = ni.DiscretizedSeries.from_symbols(
+    disc = ni.DiscretizedSeries(
         np.vstack([sym, sym, np.roll(sym, 1)]), (2, 2, 2))
     return ni.delay_embed(disc, ni.EmbeddingSpec.uniform(3, 1, 1))
 
@@ -81,7 +81,7 @@ def test_greedy_on_zero_te_data_returns_empty():
     # periodic data: every transfer entropy is exactly zero, so the
     # penalized scores admit no positive move at all
     sym = np.tile([0, 1], 400)
-    disc = ni.DiscretizedSeries.from_symbols(
+    disc = ni.DiscretizedSeries(
         np.vstack([sym, np.roll(sym, 1), sym]), (2, 2, 2))
     view = ni.delay_embed(disc, ni.EmbeddingSpec.uniform(3, 1, 1))
     for kind, kw in (("tea", {"alpha": 0.95}),
@@ -503,21 +503,72 @@ def test_sequential_climb_matches_reference(monkeypatch, data, plan):
 @pytest.mark.parametrize("plan", ["K199", "alpha0.9", "restarts"])
 @pytest.mark.parametrize("data", sorted(_SEQUENTIAL_DATA))
 def test_dropped_moves_lie_below_their_threshold(monkeypatch, data, plan):
+    # every move of a step that never got its exact delta has one, on a fresh
+    # scorer, that is <= 0 or below the step's largest exact delta minus
+    # _TIE_EPS, so the rule could not have picked it
     make_scorer = _sequential_scorer(data, plan)
-    settled = []
-    real = search._settle
+    steps = []  # (graph, moves, {move: exact delta}) of each step
+    real_step, real_delta = search._step, search.move_delta
 
-    def settle(scorer, graph, move, top):
-        delta = real(scorer, graph, move, top)
-        settled.append((graph, move, top, delta))
-        return delta
+    def step(scorer, graph, moves):
+        steps.append((graph, moves, {}))
+        return real_step(scorer, graph, moves)
 
-    monkeypatch.setattr(search, "_settle", settle)
+    def delta(scorer, graph, move):
+        steps[-1][2][move] = real_delta(scorer, graph, move)
+        return steps[-1][2][move]
+
+    monkeypatch.setattr(search, "_step", step)
+    monkeypatch.setattr(search, "move_delta", delta)
     restarts = _SEQUENTIAL_PLANS[plan][3]
     greedy_hill_climb(make_scorer(), SearchConfig(seed=3, restarts=restarts))
-    dropped = [(g, m, top) for g, m, top, delta in settled if delta is None]
-    assert dropped
     fresh = make_scorer()
-    for graph, move, top in dropped:
-        exact = move_delta(fresh, graph, move)
-        assert exact <= 0.0 or exact < top - _TIE_EPS
+    dropped = 0
+    for graph, moves, evaluated in steps:
+        top = max(evaluated.values(), default=-np.inf)
+        for move in moves:
+            if move not in evaluated:
+                dropped += 1
+                exact = real_delta(fresh, graph, move)
+                assert exact <= 0.0 or exact < top - _TIE_EPS
+    assert dropped
+
+
+# surrogate draws and completed populations of the climbs in
+# test_sequential_climb_matches_reference, as (draws, populations), measured
+# with the earlier step that walked the moves in order of their first bound
+# and re-bounded each one; the heap loop must not draw more
+_SEQUENTIAL_WORK = {
+    ("box-kernel", "K199"): (458, 2),
+    ("box-kernel", "restarts"): (62, 3),
+    ("discrete", "K199"): (926, 4),
+    ("discrete", "restarts"): (241, 12),
+    ("linear-gaussian", "K199"): (647, 3),
+    ("linear-gaussian", "restarts"): (81, 4),
+}
+
+
+@pytest.mark.parametrize("data, plan", sorted(_SEQUENTIAL_WORK))
+def test_sequential_climb_draws_no_more_than_recorded(monkeypatch, data, plan):
+    # a guard against a step that draws more than it needs: the counts may
+    # fall below the recorded ones, never rise above them
+    counts = {"draws": 0, "populations": 0}
+    real_draw, real_samples = significance.draw_surrogates, scores.surrogate_te_samples
+
+    def draw(dest, sources, view, kind, cfg, start, stop):
+        counts["draws"] += max(stop - start, 0)
+        return real_draw(dest, sources, view, kind, cfg, start, stop)
+
+    def samples(*args, **kwargs):
+        counts["populations"] += 1
+        return real_samples(*args, **kwargs)
+
+    for module in (scores, significance):  # chunks, and population tails
+        monkeypatch.setattr(module, "draw_surrogates", draw)
+    monkeypatch.setattr(scores, "surrogate_te_samples", samples)
+    restarts = _SEQUENTIAL_PLANS[plan][3]
+    greedy_hill_climb(_sequential_scorer(data, plan)(),
+                      SearchConfig(seed=3, restarts=restarts))
+    draws, populations = _SEQUENTIAL_WORK[data, plan]
+    assert 0 < counts["draws"] <= draws
+    assert 0 < counts["populations"] <= populations

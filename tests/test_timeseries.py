@@ -69,7 +69,7 @@ def test_load_csv_missing_file(tmp_path):
 
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    ts = ni.TimeSeriesSet.from_columns(rng.standard_normal((3, 20)))
+    ts = ni.TimeSeriesSet(rng.standard_normal((3, 20)))
     path = tmp_path / "rt.csv"
     ni.write_csv(ts, path)
     back = ni.load_csv(path)
@@ -145,33 +145,33 @@ def test_load_csv_matches_reference_on_generated_grids(m, data):
 # discretize
 
 def test_discretize_equal_width_split():
-    ts = ni.TimeSeriesSet.from_columns([[0.0, 1.0, 2.0, 3.0]])
+    ts = ni.TimeSeriesSet([[0.0, 1.0, 2.0, 3.0]])
     disc = ni.discretize(ts, 2)
     assert disc.symbols.tolist() == [[0, 0, 1, 1]]
 
 
 def test_discretize_endpoints():
-    ts = ni.TimeSeriesSet.from_columns([[0.0, 1.0]])
+    ts = ni.TimeSeriesSet([[0.0, 1.0]])
     disc = ni.discretize(ts, 2)
     assert disc.symbols.tolist() == [[0, 1]]
 
 
 def test_discretize_uniform_frequencies():
     rng = np.random.default_rng(42)
-    ts = ni.TimeSeriesSet.from_columns([rng.uniform(0, 1, 1000)])
+    ts = ni.TimeSeriesSet([rng.uniform(0, 1, 1000)])
     disc = ni.discretize(ts, 4)
     freqs = np.bincount(disc.symbols[0], minlength=4) / 1000
     assert np.all(np.abs(freqs - 0.25) < 0.05)
 
 
 def test_discretize_constant_series_rejected():
-    ts = ni.TimeSeriesSet.from_columns([[1.0, 1.0, 1.0]])
+    ts = ni.TimeSeriesSet([[1.0, 1.0, 1.0]])
     with pytest.raises(ValidationError, match="zero-range"):
         ni.discretize(ts, 2)
 
 
 def test_discretize_per_subsystem_bins():
-    ts = ni.TimeSeriesSet.from_columns([[0.0, 1.0, 2.0], [0.0, 5.0, 10.0]])
+    ts = ni.TimeSeriesSet([[0.0, 1.0, 2.0], [0.0, 5.0, 10.0]])
     disc = ni.discretize(ts, [2, 3])
     assert disc.alphabet_sizes == (2, 3)
     assert disc.symbols[1].tolist() == [0, 1, 2]
@@ -184,7 +184,7 @@ def test_discretize_per_subsystem_bins():
 def test_discretize_monotone(values, bins):
     # every input either discretizes monotonically or raises the one
     # documented error naming the subsystem, without a warning first
-    ts = ni.TimeSeriesSet.from_columns([values])
+    ts = ni.TimeSeriesSet([values])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -202,7 +202,7 @@ def test_discretize_monotone(values, bins):
 # delay_embed
 
 def test_delay_embed_direct_unrolling():
-    ts = ni.TimeSeriesSet.from_columns([[1.0, 2.0, 3.0, 4.0, 5.0]])
+    ts = ni.TimeSeriesSet([[1.0, 2.0, 3.0, 4.0, 5.0]])
     view = ni.delay_embed(ts, ni.EmbeddingSpec.uniform(1, tau=1, kappa=2))
     assert view.rows == 3
     assert view.history(0).tolist() == [[2, 1], [3, 2], [4, 3]]
@@ -210,7 +210,7 @@ def test_delay_embed_direct_unrolling():
 
 
 def test_delay_embed_markov1():
-    ts = ni.TimeSeriesSet.from_columns([[1.0, 2.0, 3.0, 4.0, 5.0]])
+    ts = ni.TimeSeriesSet([[1.0, 2.0, 3.0, 4.0, 5.0]])
     view = ni.delay_embed(ts, ni.EmbeddingSpec.uniform(1, tau=1, kappa=1))
     # kappa=1 reduces to the plain first-order lag: history row t is <y_n>
     assert view.history(0)[:, 0].tolist() == [1, 2, 3, 4]
@@ -218,20 +218,20 @@ def test_delay_embed_markov1():
 
 
 def test_delay_embed_tau2():
-    ts = ni.TimeSeriesSet.from_columns([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+    ts = ni.TimeSeriesSet([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
     view = ni.delay_embed(ts, ni.EmbeddingSpec.uniform(1, tau=2, kappa=2))
     assert view.history(0)[0].tolist() == [3, 1]
     assert view.target(0)[0] == 4
 
 
 def test_delay_embed_too_deep():
-    ts = ni.TimeSeriesSet.from_columns([[1.0, 2.0, 3.0, 4.0]])
+    ts = ni.TimeSeriesSet([[1.0, 2.0, 3.0, 4.0]])
     with pytest.raises(ValidationError, match="embedding exceeds data length"):
         ni.delay_embed(ts, ni.EmbeddingSpec.uniform(1, tau=3, kappa=2))
 
 
 def test_delay_embed_common_trim_across_subsystems():
-    ts = ni.TimeSeriesSet.from_columns([np.arange(10.0), np.arange(10.0) * 2])
+    ts = ni.TimeSeriesSet([np.arange(10.0), np.arange(10.0) * 2])
     spec = ni.EmbeddingSpec(tau=(1, 2), kappa=(2, 3))
     view = ni.delay_embed(ts, spec)
     depth = max((2 - 1) * 1, (3 - 1) * 2)
@@ -249,7 +249,7 @@ def test_delay_embed_lag_formula(tau, kappa, n, seed):
         return
     rng = np.random.default_rng(seed)
     series = rng.standard_normal(n)
-    ts = ni.TimeSeriesSet.from_columns([series])
+    ts = ni.TimeSeriesSet([series])
     view = ni.delay_embed(ts, ni.EmbeddingSpec(tau=(tau,), kappa=(kappa,)))
     depth = (kappa - 1) * tau
     assert view.rows == n - 1 - depth
@@ -262,7 +262,7 @@ def test_delay_embed_lag_formula(tau, kappa, n, seed):
 
 @pytest.mark.parametrize("subsystem", [3, -1])
 def test_view_rejects_out_of_range_subsystem(subsystem):
-    ts = ni.TimeSeriesSet.from_columns(np.arange(30.0).reshape(3, 10))
+    ts = ni.TimeSeriesSet(np.arange(30.0).reshape(3, 10))
     view = ni.delay_embed(ni.discretize(ts, 2), ni.EmbeddingSpec.uniform(3))
     for read in (view.target, view.history, view.kappa, view.alphabet,
                  lambda s: view.symbol_ids("next", s)):
