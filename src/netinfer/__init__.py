@@ -28,7 +28,6 @@ from .graph import (
     compare_graphs,
     dag_from_dot,
     enumerate_dags,
-    is_acyclic,
     parse_dot,
     write_dot,
 )
@@ -80,7 +79,7 @@ __all__ = [
     "Chi2Params", "SurrogateConfig", "chi2_quantile", "te_degrees_of_freedom",
     "surrogate_te_samples", "empirical_quantile",
     # graphs and scores
-    "Dag", "is_acyclic", "enumerate_dags", "compare_graphs",
+    "Dag", "enumerate_dags", "compare_graphs",
     "write_dot", "parse_dot", "dag_from_dot",
     "Scorer", "ScoreReport",
     # search

@@ -1,10 +1,11 @@
 """Command-line front end: simulate, score, infer, eval.
 
 Outputs are machine readable (CSV datasets, DOT graphs, JSON reports) and
-written atomically via temp-file-and-rename. Every command also writes a
-run manifest recording the command line, seeds, tool version, input
-digests and wall-clock duration. Exit codes: 0 success, 1 validation
-error, 2 runtime/numeric error.
+written atomically via temp-file-and-rename. simulate and infer also write
+a run manifest recording the command line, seeds, tool version, input
+digests and wall-clock duration; score and eval write one only with
+--out. Exit codes: 0 success, 1 validation error, 2 runtime/numeric error
+or a size too large to allocate.
 """
 
 from __future__ import annotations
@@ -463,6 +464,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except NetinferError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory (a size or count is too large to allocate)",
+              file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

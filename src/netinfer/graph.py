@@ -1,9 +1,9 @@
-"""Directed graphs over subsystem vertices, stored as per-vertex parent sets.
+"""Directed acyclic graphs over subsystem vertices, stored as per-vertex
+parent sets.
 
-A ``Dag`` is plain data: it checks each parent set with
-:func:`check_parents` at construction but deliberately tolerates cycles so
-that :func:`is_acyclic` can be used as a real test. Everything that
-consumes graphs for scoring or simulation validates acyclicity explicitly.
+A ``Dag`` is acyclic by construction: it checks each parent set with
+:func:`check_parents` and rejects a cycle, so scores, the simulator, the
+KL divergence and :func:`compare_graphs` take any ``Dag`` as it is.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ def check_vertex_count(graph: Dag, m: int):
 
 @dataclass(frozen=True)
 class Dag:
-    """Candidate coupling graph: ``parents[v]`` are the sources feeding v."""
+    """Acyclic candidate coupling graph: ``parents[v]`` are the sources
+    feeding v."""
 
     m: int
     parents: tuple[tuple[int, ...], ...]
@@ -54,11 +55,15 @@ class Dag:
         norm = tuple(tuple(sorted(ps)) for ps in self.parents)
         for v, ps in enumerate(norm):
             check_parents(v, ps, self.m)
+        masks = [sum(1 << p for p in ps) for ps in norm]
+        if any(_reach(masks, v) & masks[v] for v in range(self.m)):
+            raise ValidationError("graph has a cycle; coupling graphs must be acyclic")
         object.__setattr__(self, "parents", norm)
 
     @classmethod
     def _canonical(cls, m: int, parents: tuple[tuple[int, ...], ...]) -> "Dag":
-        # for parent tuples already sorted, in range and free of self-loops
+        # for parent tuples already sorted, in range, free of self-loops
+        # and acyclic
         dag = object.__new__(cls)
         dag.__dict__.update(m=m, parents=parents)
         return dag
@@ -121,12 +126,6 @@ def _reach(parent_masks: Sequence[int], start: int) -> int:
                 reach |= 1 << c
                 grown = True
     return reach
-
-
-def is_acyclic(graph: Dag) -> bool:
-    """True iff no vertex reaches one of its own parents."""
-    masks = [sum(1 << p for p in ps) for ps in graph.parents]
-    return not any(_reach(masks, v) & masks[v] for v in range(graph.m))
 
 
 def creates_cycle(graph: Dag, src: int, dst: int) -> bool:
@@ -216,17 +215,9 @@ def compare_graphs(inferred: Dag, truth: Dag) -> dict:
     recall = tp / len(et) if et else 1.0
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
 
-    shd = 0
-    pairs = {frozenset(e) for e in ei | et}
-    for pair in pairs:
-        a, b = tuple(pair)
-        in_i = (a, b) in ei or (b, a) in ei
-        in_t = (a, b) in et or (b, a) in et
-        if in_i and in_t:
-            if ((a, b) in ei) != ((a, b) in et):
-                shd += 1  # reversed
-        else:
-            shd += 1  # missing or spurious
+    # a pair joined in one graph only, or in opposite directions in the two
+    # (a Dag never joins a pair both ways), has its edges in ei ^ et
+    shd = len({frozenset(e) for e in ei ^ et})
     return {"precision": precision, "recall": recall, "f1": f1, "shd": shd}
 
 

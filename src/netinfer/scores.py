@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 from .errors import ValidationError
 from .estimators import EstimatorKind, conditional_entropy, history, next_value
-from .graph import Dag, check_parents, check_vertex_count, is_acyclic
+from .graph import Dag, check_parents, check_vertex_count
 from .significance import (
     Chi2Params,
     SurrogateConfig,
@@ -344,8 +344,6 @@ class Scorer:
 
     def score(self, graph: Dag) -> ScoreReport:
         check_vertex_count(graph, self.view.m_total)
-        if not is_acyclic(graph):
-            raise ValidationError("scores are defined over acyclic graphs only")
         per_vertex = []
         total = 0.0
         for v in range(graph.m):

@@ -26,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import NumericError, ValidationError, check_int, check_number
-from .graph import Dag, check_names, is_acyclic
+from .graph import Dag, check_names
 from .timeseries import TimeSeriesSet
 
 
@@ -141,8 +141,6 @@ class GdsConfig:
             if value < 0:
                 raise ValidationError(f"{key} must be >= 0")
             object.__setattr__(self, key, value)
-        if not is_acyclic(self.graph):
-            raise ValidationError("ground-truth graph must be acyclic")
         object.__setattr__(self, "names", check_names(self.names, self.graph.m))
         if self.initial_states is not None:
             object.__setattr__(self, "initial_states",

@@ -276,15 +276,21 @@ def write_csv(ts: TimeSeriesSet, path):
 def discretize(ts: TimeSeriesSet, bins: Union[int, Sequence[int]]) -> DiscretizedSeries:
     """Equal-width binning over [min, max] per subsystem.
 
-    The final bin is right-closed so the maximum maps to bins-1. A series
-    whose range (zero for a constant) gives no bins+1 distinct float64 edges
-    is rejected before anything is divided by the bin width.
+    The final bin is right-closed so the maximum maps to bins-1. A bin
+    count above the series length (more bins than samples leaves bins
+    empty) is rejected, and so is a series whose range (zero for a
+    constant) gives no bins+1 distinct float64 edges, before anything is
+    divided by the bin width.
     """
     per = [bins] * ts.m if np.ndim(bins) == 0 else list(bins)
     if len(per) != ts.m:
         raise ValidationError(f"bins list has {len(per)} entries for {ts.m} subsystems")
     per = [check_int(f"bins for subsystem {name!r}", b, 2)
            for name, b in zip(ts.names, per)]
+    for name, b in zip(ts.names, per):
+        if b > ts.n:  # checked before any cut is built
+            raise ValidationError(f"bins for subsystem {name!r} must be at most "
+                                  f"the series length {ts.n}, got {b}")
 
     symbols = np.empty_like(ts.series, dtype=np.int64)
     for i in range(ts.m):

@@ -309,6 +309,24 @@ def reference_reaches(parents, start, goal):
     return False
 
 
+# The reference for the structural Hamming distance is the per-pair loop it
+# replaced: one unit per missing, spurious or reversed edge.
+
+def reference_shd(inferred, truth):
+    ei, et = set(inferred.edges()), set(truth.edges())
+    shd = 0
+    for pair in {frozenset(e) for e in ei | et}:
+        a, b = tuple(pair)
+        in_i = (a, b) in ei or (b, a) in ei
+        in_t = (a, b) in et or (b, a) in et
+        if in_i and in_t:
+            if ((a, b) in ei) != ((a, b) in et):
+                shd += 1  # reversed
+        else:
+            shd += 1  # missing or spurious
+    return shd
+
+
 # The references for the simulator are the two per-model loops it replaced,
 # with the same random draws in the same order; each returns (observations,
 # states) as (M, n) arrays.

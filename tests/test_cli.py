@@ -596,6 +596,54 @@ def test_dot_unsafe_name_exits_1_with_one_line(tmp_path, capsys, command, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "score", "simulate"])
+def test_cyclic_graph_exits_1_with_one_line(tmp_path, simulated, capsys, command):
+    if command == "simulate":
+        doc = json.loads(_chain_config(tmp_path).read_text(encoding="utf-8"))
+        doc["edges"] = [["V1", "V2"], ["V2", "V1"]]
+        config = tmp_path / "cyclic.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(config), "--out-dir", str(out)]
+    else:
+        cyclic = tmp_path / "cyclic.dot"
+        cyclic.write_text('digraph G {\n  "V1";\n  "V2";\n  "V3";\n'
+                          '  "V1" -> "V2";\n  "V2" -> "V1";\n}\n', encoding="utf-8")
+        out = tmp_path / "out.json"
+        if command == "eval":
+            argv = ["eval", "--inferred", str(cyclic),
+                    "--truth", str(simulated / "truth.dot")]
+        else:
+            argv = ["score", "--data", str(simulated / "data.csv"),
+                    "--graph", str(cyclic), "--score", "tea", "--bins", "2"]
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "acyclic" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, code, says", [
+    # rejected before any of the 10**20 bin edges is built
+    (["--bins", "99999999999999999999"], 1,
+     "bins for subsystem 'V1' must be at most the series length 2000"),
+    # the first population asks for a list of 10**11 draws (800 GB)
+    (["--bins", "2", "--surrogates", "100000000000"], 2, "out of memory"),
+], ids=["bins", "surrogates"])
+def test_count_beyond_reach_exits_with_one_line(tmp_path, simulated, flags,
+                                                code, says):
+    out = tmp_path / "out"
+    argv = ["infer", "--data", str(simulated / "data.csv"), "--out-dir", str(out),
+            "--search", "exhaustive", "--score", "tee", *flags]
+    proc = subprocess.run(
+        [sys.executable, "-m", "netinfer", *argv],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
+    )
+    assert proc.returncode == code
+    assert proc.stderr.count("\n") == 1 and says in proc.stderr, proc.stderr
+    assert not out.exists()
+
+
 def _assert_clean_exit(argv):
     """Run the CLI in-process: no exception may escape, the exit code must be
     documented, and stderr must be at most one line."""

@@ -177,13 +177,23 @@ def test_discretize_per_subsystem_bins():
     assert disc.symbols[1].tolist() == [0, 1, 2]
 
 
+def test_discretize_rejects_more_bins_than_samples():
+    ts = ni.TimeSeriesSet([[0.0, 1.0, 2.0, 3.0]])
+    assert ni.discretize(ts, 4).symbols.tolist() == [[0, 1, 2, 3]]
+    for bins in (5, 10**20):  # 10**20 cuts would never finish building
+        with pytest.raises(ValidationError,
+                           match="'V1' must be at most the series length 4, got"):
+            ni.discretize(ts, bins)
+
+
 @settings(deadline=None, max_examples=100)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=40),
        st.integers(2, 6))
 @example(values=[0.0, 0.0, 5e-324], bins=2)
 def test_discretize_monotone(values, bins):
-    # every input either discretizes monotonically or raises the one
-    # documented error naming the subsystem, without a warning first
+    # every input either discretizes monotonically or raises one of the two
+    # documented errors naming the subsystem, without a warning first: more
+    # bins than samples, else a range that cannot be split
     ts = ni.TimeSeriesSet([values])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -191,8 +201,11 @@ def test_discretize_monotone(values, bins):
             sym = ni.discretize(ts, bins).symbols[0]
         except ValidationError as exc:
             assert repr(ts.names[0]) in str(exc)
-            assert ("the zero-range" if max(values) == min(values)
-                    else "cannot split the range") in str(exc)
+            if bins > len(values):
+                assert f"at most the series length {len(values)}" in str(exc)
+            else:
+                assert ("the zero-range" if max(values) == min(values)
+                        else "cannot split the range") in str(exc)
             return
     order = np.argsort(values, kind="stable")
     assert np.all(np.diff(sym[order]) >= 0)
