@@ -5,16 +5,20 @@ whose score lies within ``_TIE_EPS`` of the largest, it returns the one whose
 graph has the smallest sorted edge tuple. The result therefore does not
 depend on the order in which candidates are enumerated or evaluated.
 
+Exhaustive search, over every DAG, and hill climbing, over the local optima
+of its restarts, stream their candidates through one :class:`_TieWindow`,
+which keeps only those within ``_TIE_EPS`` of the running maximum.
 Exhaustive search sums memoized local scores over every DAG that
-:func:`graph.enumerate_dags` yields; it builds a graph's edge tuple only
-when the total lies within the tie window of the running maximum.
+:func:`graph.enumerate_dags` yields and builds a graph's edge tuple only
+when the window admits its total.
 
 Hill climbing starts from the empty graph (penalized scores make it the
-natural null model) plus optional random restarts, and repeatedly applies
-the rule's pick among the single edge additions, deletions and reversals
-with a positive score delta. Deltas touch only the vertices whose parent
-sets change, so each step costs a handful of memoized local scores. The
-rule also chooses among the restarts' local optima.
+natural null model) plus optional random restarts, each start drawn just
+before its climb, and repeatedly applies the rule's pick among the single
+edge additions, deletions and reversals with a positive score delta. Deltas
+touch only the vertices whose parent sets change, so each step costs a
+handful of memoized local scores. The rule also chooses among the
+restarts' local optima.
 
 Each step is lazy (Minoux's lazy greedy): it bounds every candidate's delta
 with :func:`move_bound` and keeps the moves in a max-heap by bound. It pops
@@ -97,11 +101,27 @@ def _pick(candidates):
                key=lambda c: c[1])
 
 
+class _TieWindow:
+    """The (total, edges, ...) candidates added so far whose total lies within
+    _TIE_EPS of the largest, so _pick(kept) is _pick over all of them."""
+
+    def __init__(self):
+        self.top, self.kept = -np.inf, []
+
+    def admits(self, total) -> bool:
+        return not total < self.top - _TIE_EPS
+
+    def add(self, candidate):
+        if candidate[0] > self.top:
+            self.top = candidate[0]
+            self.kept = [c for c in self.kept if c[0] >= self.top - _TIE_EPS]
+        self.kept.append(candidate)
+
+
 def exhaustive_search(scorer: Scorer) -> SearchResult:
     """Score every labelled DAG and return the rule's pick."""
     m = scorer.view.m_total
-    top = -np.inf
-    kept = []  # (total, edges, graph) within the tie window of top
+    window = _TieWindow()
     visited = 0
     local = scorer.local
     for graph in enumerate_dags(m):
@@ -110,13 +130,9 @@ def exhaustive_search(scorer: Scorer) -> SearchResult:
         for v in range(m):
             total += local(v, parents[v]).local
         visited += 1
-        if total < top - _TIE_EPS:
-            continue
-        if total > top:
-            top = total
-            kept = [c for c in kept if c[0] >= top - _TIE_EPS]
-        kept.append((total, graph.edges(), graph))
-    best = _pick(kept)[2]
+        if window.admits(total):
+            window.add((total, graph.edges(), graph))
+    best = _pick(window.kept)[2]
     return SearchResult(best=best, best_report=scorer.score(best),
                         visited=visited, trace=None)
 
@@ -245,17 +261,20 @@ def greedy_hill_climb(scorer: Scorer, cfg: SearchConfig | None = None) -> Search
     m = scorer.view.m_total
     max_parents = cfg.resolved_max_parents(scorer.score_kind)
 
-    starts = [Dag.empty(m)]
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, r)))
-        starts.append(random_dag(m, rng, max_parents=max_parents))
+    def starts():
+        # each restart's start is drawn just before its climb
+        yield Dag.empty(m)
+        for r in range(cfg.restarts):
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, r)))
+            yield random_dag(m, rng, max_parents=max_parents)
 
-    climbs = []
+    window = _TieWindow()  # only the climbs that may still be picked
     visited = 0
-    for start in starts:
+    for start in starts():
         graph, total, trace, seen = _climb(scorer, start, max_parents)
         visited += seen
-        climbs.append((total, graph.edges(), graph, trace))
-    _, _, best, trace = _pick(climbs)
+        if window.admits(total):
+            window.add((total, graph.edges(), graph, trace))
+    _, _, best, trace = _pick(window.kept)
     return SearchResult(best=best, best_report=scorer.score(best),
                         visited=visited, trace=trace)

@@ -8,7 +8,8 @@ Coupled logistic dynamics per vertex (p = number of parents):
 with the pure self-map g(x_i) + noise for parentless vertices (the
 coupling mixture is undefined at p = 0). Noise excursions are reflected
 back into [0, 1]. Observations are the scalar state plus observation
-noise.
+noise. The map runs on Python floats, the parents' sum left to right,
+except that numpy's pairwise order is kept for eight or more parents.
 
 Linear-Gaussian dynamics:
 
@@ -16,11 +17,15 @@ Linear-Gaussian dynamics:
     y  = x + N(0, obs_std^2),
 
 valid only when the spectral radius of A stays below one.
+
+Noise is drawn from one generator in blocks of steps, in step order: each
+step's M process-noise values, then its M observation-noise values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from typing import Optional, Union
 
 import numpy as np
@@ -53,30 +58,49 @@ class CoupledLogisticModel:
             raise ValidationError("r must be positive")
 
     def start(self, cfg: GdsConfig, rng):
-        """Initial state (drawn uniformly unless given), noise-free map and
-        the fold that reflects noise excursions back into [0, 1]."""
-        m = cfg.graph.m
+        """Initial state (drawn uniformly unless given) and the function that
+        advances it through a block of process noise, reflecting noise
+        excursions back into [0, 1]."""
         if cfg.initial_states is not None:
-            x = np.asarray(cfg.initial_states, dtype=float)
-            if np.any(x < 0.0) or np.any(x > 1.0):
+            x = [float(v) for v in cfg.initial_states]
+            if not all(0.0 <= v <= 1.0 for v in x):
                 raise ValidationError("initial_states must lie in [0, 1]")
         else:
-            x = rng.uniform(0.0, 1.0, size=m)
-        parents = [np.asarray(ps, dtype=int) for ps in cfg.graph.parents]
-        eps = self.epsilon
+            x = rng.uniform(0.0, 1.0, size=cfg.graph.m).tolist()
+        r, eps = float(self.r), self.epsilon
+        keep = 1.0 - eps
+        # (parents, eps / p, whether numpy's sum order must be kept) per vertex
+        plan = [(ps, eps / len(ps) if ps else 0.0, len(ps) >= 8)
+                for ps in cfg.graph.parents]
 
-        def step(x: np.ndarray) -> np.ndarray:
-            g = self.r * x * (1.0 - x)
-            new = np.empty(m, dtype=float)
-            for i in range(m):
-                ps = parents[i]
-                if ps.size:
-                    new[i] = (1.0 - eps) * g[i] + (eps / ps.size) * g[ps].sum()
-                else:
-                    new[i] = g[i]
-            return new
+        def advance(x, noise, out, t0):
+            rows = []
+            for t, e in enumerate(noise.tolist(), t0):
+                g = [r * v * (1.0 - v) for v in x]
+                x = []
+                inside = True
+                for gi, (ps, share, pairwise), ei in zip(g, plan, e):
+                    if ps:
+                        if pairwise:
+                            s = float(np.array([g[j] for j in ps]).sum())
+                        else:
+                            s = 0.0
+                            for j in ps:
+                                s += g[j]
+                        gi = keep * gi + share * s
+                    gi += ei
+                    if not 0.0 <= gi <= 1.0:  # an excursion or non-finite
+                        inside = False
+                    x.append(gi)
+                if not inside:
+                    if not all(map(math.isfinite, x)):
+                        raise NumericError(f"non-finite state at step {t}")
+                    x = [_reflect(v) for v in x]
+                rows.append(x)
+            out[:] = rows
+            return x
 
-        return x, step, _reflect_unit
+        return x, advance
 
 
 @dataclass(frozen=True)
@@ -93,8 +117,9 @@ class LinearGaussianModel:
         check_number("self_weight", self.self_weight)
 
     def start(self, cfg: GdsConfig, rng):
-        """Initial state (zero unless given), noise-free map x -> A x and no
-        fold; rejects couplings off the graph and nonstationary systems."""
+        """Initial state (zero unless given) and the function that advances it
+        through a block of process noise by x -> A x + noise; rejects
+        couplings off the graph and nonstationary systems."""
         m = cfg.graph.m
         w = np.asarray(self.coupling, dtype=float)
         if w.shape != (m, m):
@@ -114,7 +139,17 @@ class LinearGaussianModel:
             )
         x = (np.asarray(cfg.initial_states, dtype=float)
              if cfg.initial_states is not None else np.zeros(m))
-        return x, lambda x: a @ x, lambda x: x
+
+        def advance(x, noise, out, t0):
+            # a @ x per step: BLAS's summation order decides its bits
+            for t, e in enumerate(noise):
+                x = a @ x + e
+                if not np.isfinite(x).all():
+                    raise NumericError(f"non-finite state at step {t0 + t}")
+                out[t] = x
+            return x
+
+        return x, advance
 
 
 @dataclass(frozen=True)
@@ -158,15 +193,18 @@ class SimOutput:
     config_echo: GdsConfig
 
 
-def _reflect_unit(x: np.ndarray) -> np.ndarray:
-    """Fold values back into [0, 1] by reflecting at the boundaries."""
+_BLOCK = 4096  # steps of noise per draw: few calls, flat memory
+
+
+def _reflect(v: float) -> float:
+    """Fold a finite value back into [0, 1] by reflecting at the boundaries."""
     for _ in range(64):
-        out_low = x < 0.0
-        out_high = x > 1.0
-        if not (out_low.any() or out_high.any()):
-            return x
-        x = np.where(out_low, -x, x)
-        x = np.where(out_high, 2.0 - x, x)
+        if v < 0.0:
+            v = -v
+        elif v > 1.0:
+            v = 2.0 - v
+        else:
+            return v
     raise NumericError("state reflection did not converge (noise too large?)")
 
 
@@ -174,7 +212,7 @@ def simulate(cfg: GdsConfig) -> SimOutput:
     """Iterate the configured model and observe it through noise."""
     m = cfg.graph.m
     rng = np.random.default_rng(cfg.seed)
-    x, step, fold = cfg.model.start(cfg, rng)
+    x, advance = cfg.model.start(cfg, rng)
 
     total = cfg.burn_in + cfg.n
     try:
@@ -183,16 +221,18 @@ def simulate(cfg: GdsConfig) -> SimOutput:
     except (ValueError, MemoryError):  # numpy's "too big" and a failed allocation
         raise NumericError(
             f"cannot allocate burn_in + n samples of {m} series") from None
-    for t in range(total):
-        x = step(x) + rng.normal(0.0, cfg.process_noise_std, size=m)
-        if not np.all(np.isfinite(x)):
-            raise NumericError(f"non-finite state at step {t}")
-        x = fold(x)
-        states[t] = x
-        observations[t] = x + rng.normal(0.0, cfg.obs_noise_std, size=m)
+    for t0 in range(0, total, _BLOCK):
+        # row [t, 0] is step t's process noise, row [t, 1] its observation
+        # noise; 0.0 + std * z is what rng.normal(0.0, std) computes
+        z = rng.standard_normal((min(_BLOCK, total - t0), 2, m))
+        with np.errstate(over="ignore"):  # an overflow is caught as non-finite
+            z = 0.0 + np.array([cfg.process_noise_std, cfg.obs_noise_std])[:, None] * z
+        block = slice(t0, t0 + len(z))
+        x = advance(x, z[:, 0], states[block], t0)
+        np.add(states[block], z[:, 1], out=observations[block])
 
-    keep_states = states[cfg.burn_in:].T.copy()
-    keep_obs = observations[cfg.burn_in:].T.copy()
-    ts = TimeSeriesSet(keep_obs, cfg.names)
-    return SimOutput(observations=ts, states=keep_states,
-                     truth=cfg.graph, config_echo=cfg)
+    # rebinding frees each full array once its kept part is copied
+    states = states[cfg.burn_in:].T.copy()
+    observations = observations[cfg.burn_in:].T.copy()
+    return SimOutput(observations=TimeSeriesSet(observations, cfg.names),
+                     states=states, truth=cfg.graph, config_echo=cfg)

@@ -263,8 +263,7 @@ def csv_text(ts: TimeSeriesSet) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(ts.names)
-    for t in range(ts.n):
-        writer.writerow([repr(float(v)) for v in ts.series[:, t]])
+    writer.writerows(ts.series.T.tolist())  # csv writes a float as its repr
     return buf.getvalue()
 
 

@@ -7,6 +7,7 @@ iteration.
 """
 
 import csv
+import io
 import math
 import os
 
@@ -16,8 +17,9 @@ from hypothesis import settings
 from scipy.spatial import cKDTree
 
 import netinfer as ni
-from netinfer.errors import DataFormatError
+from netinfer.errors import DataFormatError, NumericError
 from netinfer.estimators import history, next_value
+from netinfer.graph import random_dag
 from netinfer.search import _TIE_EPS, _apply, _candidate_moves
 from netinfer.significance import derive_seed
 
@@ -271,6 +273,25 @@ def reference_climb(scorer, start, max_parents):
         trace.append((f"{op} {src}->{dst}", delta))
 
 
+def reference_greedy(scorer, cfg):
+    """(best graph, trace, visited) of the restart loop the streamed one
+    replaced: every start built first, every climb kept, then the tie rule."""
+    m = scorer.view.m_total
+    max_parents = cfg.resolved_max_parents(scorer.score_kind)
+    starts = [ni.Dag.empty(m)]
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, r)))
+        starts.append(random_dag(m, rng, max_parents=max_parents))
+    climbs = []
+    visited = 0
+    for start in starts:
+        graph, total, trace, seen = reference_climb(scorer, start, max_parents)
+        visited += seen
+        climbs.append((total, graph.edges(), graph, trace))
+    _, _, best, trace = reference_pick(climbs, _TIE_EPS)
+    return best, trace, visited
+
+
 # The references for the cycle checks are the walks they replaced: Kahn's
 # algorithm (smallest ready vertex first, then FIFO), whose order misses every
 # vertex on or downstream of a cycle, and a depth-first walk along child links.
@@ -328,8 +349,14 @@ def reference_shd(inferred, truth):
 
 
 # The references for the simulator are the two per-model loops it replaced,
-# with the same random draws in the same order; each returns (observations,
-# states) as (M, n) arrays.
+# with the same random draws in the same order, one rng.normal call each per
+# step; each returns (observations, states) as (M, n) arrays, or raises the
+# same NumericError at the same step.
+
+def _reference_check_finite(x, step):
+    if not np.all(np.isfinite(x)):
+        raise NumericError(f"non-finite state at step {step}")
+
 
 def _reference_reflect_unit(x):
     for _ in range(64):
@@ -339,7 +366,7 @@ def _reference_reflect_unit(x):
             return x
         x = np.where(out_low, -x, x)
         x = np.where(out_high, 2.0 - x, x)
-    raise AssertionError("reflection did not converge")
+    raise NumericError("state reflection did not converge (noise too large?)")
 
 
 def reference_simulate_coupled_logistic(cfg):
@@ -365,6 +392,7 @@ def reference_simulate_coupled_logistic(cfg):
             else:
                 new[i] = g[i]
         new = new + rng.normal(0.0, cfg.process_noise_std, size=m)
+        _reference_check_finite(new, step)
         x = _reference_reflect_unit(new)
         states[step] = x
         observations[step] = x + rng.normal(0.0, cfg.obs_noise_std, size=m)
@@ -382,6 +410,7 @@ def reference_simulate_linear_gaussian(cfg):
     observations = np.empty((total, m), dtype=float)
     for step in range(total):
         x = a @ x + rng.normal(0.0, cfg.process_noise_std, size=m)
+        _reference_check_finite(x, step)
         states[step] = x
         observations[step] = x + rng.normal(0.0, cfg.obs_noise_std, size=m)
     return observations[cfg.burn_in:].T, states[cfg.burn_in:].T
@@ -505,6 +534,18 @@ def reference_load_csv(path) -> ni.TimeSeriesSet:
     if len(body) < 2:
         raise DataFormatError(f"{path}: need at least two data rows")
     return ni.TimeSeriesSet(data.T, tuple(header))
+
+
+# The reference for csv_text is the per-row writer its one writerows call
+# replaced: each value written as repr(float(v)).
+
+def reference_csv_text(ts) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(ts.names)
+    for t in range(ts.series.shape[1]):
+        writer.writerow([repr(float(v)) for v in ts.series[:, t]])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -179,6 +180,30 @@ def test_simulate_same_seed_byte_identical(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(b)]) == 0
     assert (a / "data.csv").read_bytes() == (b / "data.csv").read_bytes()
     assert (a / "truth.dot").read_bytes() == (b / "truth.dot").read_bytes()
+
+
+# sha256 of data.csv for the benchmark's M=5 tree config at n=2000, seed 7.
+# It pins the CSV text: the benchmark's expected outputs hash only what infer
+# makes of the parsed CSV.
+_TREE_M5_DATA_SHA256 = "479f25c3bbcb20879ef93f4ef4ac94d9491fcae037b4354cb8e93825908fdb6e"
+
+
+def test_simulate_data_bytes_are_pinned(tmp_path):
+    doc = {
+        "names": ["V1", "V2", "V3", "V4", "V5"],
+        "edges": [["V1", "V2"], ["V2", "V3"], ["V2", "V4"], ["V4", "V5"]],
+        "model": {"type": "coupled-logistic", "r": 4.0, "epsilon": 0.4},
+        "process_noise_std": 1e-3,
+        "obs_noise_std": 1e-3,
+        "n": 2000,
+        "burn_in": 1000,
+        "seed": 7,
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 0
+    data = (tmp_path / "run" / "data.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _TREE_M5_DATA_SHA256
 
 
 def test_importing_the_cli_loads_no_scipy_module():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from conftest import (
     random_discrete_view,
     reference_climb,
     reference_exhaustive_search,
+    reference_greedy,
     reference_kahn_order,
     simulate_chain,
 )
@@ -273,6 +276,73 @@ def test_lazy_climb_matches_reference_with_restarts(monkeypatch, dataset):
     view = _SEARCH_VIEWS[dataset]()
     _assert_same_search(monkeypatch, lambda: _tee(view),
                         SearchConfig(seed=3, restarts=2))
+
+
+class _PairScorer:
+    """A vertex scores 1 with exactly two parents and 0 otherwise, plus a
+    perturbation of up to _TIE_EPS, so the restarts' local optima differ in
+    total by up to about 1.5 _TIE_EPS. With seed 13 and 1, 3 or 7 restarts
+    the first restart's optimum wins on its smaller edge tuple though its
+    total is not the largest; with 3 and 7 the largest comes after it, and
+    with 7 one optimum falls outside the tie window."""
+
+    score_kind = "tee"
+
+    class view:
+        m_total = 5
+
+    def local(self, vertex, parents):
+        bump = (7 * vertex + 3 * sum(parents) + len(parents)) % 5
+        local = float(len(parents) == 2) + bump * _TIE_EPS / 4
+        return LocalScore(te=local, penalty=0.0, local=local)
+
+    def local_bound(self, vertex, parents):
+        return self.local(vertex, parents).local
+
+    @staticmethod
+    def draw_chunk(vertex, parents):
+        return False  # every bound is exact
+
+    def score(self, graph):
+        doc = {"parents": graph.parents,
+               "locals": [self.local(v, ps).local for v, ps in enumerate(graph.parents)]}
+        return SimpleNamespace(to_dict=lambda: doc)
+
+
+_RESTART_SCORERS = {
+    "pairs": _PairScorer,
+    "random4-tee": lambda: _tee(_SEARCH_VIEWS["random4"]()),
+}
+
+
+@pytest.mark.parametrize("restarts", [0, 1, 3, 7])
+@pytest.mark.parametrize("scorer", sorted(_RESTART_SCORERS))
+def test_streamed_restarts_match_reference_loop(scorer, restarts):
+    make_scorer = _RESTART_SCORERS[scorer]
+    cfg = SearchConfig(seed=13, restarts=restarts)
+    ref_best, ref_trace, ref_visited = reference_greedy(make_scorer(), cfg)
+    result = greedy_hill_climb(make_scorer(), cfg)
+    assert result.best.parents == ref_best.parents
+    assert result.trace == ref_trace
+    assert result.visited == ref_visited
+    assert result.best_report.to_dict() == make_scorer().score(ref_best).to_dict()
+
+
+def test_each_restart_start_is_drawn_just_before_its_climb(monkeypatch):
+    events = []
+
+    def draw(*args, **kwargs):
+        events.append("draw")
+        return random_dag(*args, **kwargs)
+
+    def climb(*args, original=search._climb):
+        events.append("climb")
+        return original(*args)
+
+    monkeypatch.setattr(search, "random_dag", draw)
+    monkeypatch.setattr(search, "_climb", climb)
+    greedy_hill_climb(_chain_scorer(), SearchConfig(seed=2, restarts=2))
+    assert events == ["climb", "draw", "climb", "draw", "climb"]
 
 
 def test_lazy_climb_matches_reference_linear_gaussian(monkeypatch):

@@ -2,6 +2,7 @@ import csv
 import os
 import tempfile
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 import netinfer as ni
 from netinfer.errors import DataFormatError, ValidationError
+from netinfer.timeseries import csv_text
 
-from conftest import reference_load_csv
+from conftest import reference_csv_text, reference_load_csv
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +77,26 @@ def test_csv_round_trip(tmp_path):
     back = ni.load_csv(path)
     assert back.names == ts.names
     assert np.array_equal(back.series, ts.series)
+
+
+_AWKWARD_FLOATS = (0.1, 1 / 3, -0.0, 5e-324, 1e16, 1.0)
+
+
+@pytest.mark.parametrize("series", [
+    np.array([_AWKWARD_FLOATS, _AWKWARD_FLOATS[::-1]]),  # 2 series, 6 rows
+    np.array([_AWKWARD_FLOATS]),  # one column
+    np.random.default_rng(1).standard_normal((4, 50)) * 1e-300,
+], ids=["awkward", "one-column", "subnormal-scale"])
+def test_csv_text_matches_reference(series):
+    ts = ni.TimeSeriesSet(series)
+    assert csv_text(ts) == reference_csv_text(ts)
+
+
+def test_csv_text_one_row_matches_reference():
+    # a TimeSeriesSet needs two samples; csv_text reads only names and series
+    one_row = SimpleNamespace(names=("a", "b", "c"),
+                              series=np.array([[0.1], [-0.0], [5e-324]]))
+    assert csv_text(one_row) == reference_csv_text(one_row) == "a,b,c\r\n0.1,-0.0,5e-324\r\n"
 
 
 def test_load_csv_drops_utf8_byte_order_mark(tmp_path):
