@@ -342,9 +342,10 @@ def cmd_infer(args, argv) -> int:
     manifest.add_input(args.data)
     manifest.add_seed("score", args.seed)
     manifest.add_seed("search", args.seed)
-    if args.search == "exhaustive" and args.max_parents is not None:
-        raise ValidationError("--max-parents applies to greedy search only; "
-                              "exhaustive search scores every DAG")
+    for flag in ("max_parents", "restarts"):
+        if args.search == "exhaustive" and getattr(args, flag) is not None:
+            raise ValidationError(f"--{flag.replace('_', '-')} applies to greedy "
+                                  "search only; exhaustive search scores every DAG")
     ts = load_csv(args.data)
     if args.score in ("te", "ml") and args.max_parents is None:
         if args.search == "exhaustive":
@@ -361,7 +362,7 @@ def cmd_infer(args, argv) -> int:
     else:
         result = greedy_hill_climb(scorer, SearchConfig(
             max_parents=args.max_parents if args.max_parents is not None else "auto",
-            restarts=args.restarts,
+            restarts=args.restarts or 0,
             seed=args.seed,
         ))
 
@@ -430,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--out-dir", required=True)
     infer.add_argument("--search", choices=["exhaustive", "greedy"],
                        default="greedy")
-    infer.add_argument("--restarts", type=int, default=0)
+    infer.add_argument("--restarts", type=int, default=None,
+                       help="random restarts (greedy search only; default 0)")
     infer.add_argument("--max-parents", type=int, default=None,
                        help="parent cap (greedy search only)")
     _add_scoring_flags(infer)

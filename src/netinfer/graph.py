@@ -3,7 +3,10 @@ parent sets.
 
 A ``Dag`` is acyclic by construction: it checks each parent set with
 :func:`check_parents` and rejects a cycle, so scores, the simulator, the
-KL divergence and :func:`compare_graphs` take any ``Dag`` as it is.
+KL divergence and :func:`compare_graphs` take any ``Dag`` as it is. It has
+no edge-editing methods: a new graph is built from its parent sets, as the
+greedy search does with the sets a move changes, and
+:func:`creates_cycle` answers whether an edge may be added.
 """
 
 from __future__ import annotations
@@ -94,23 +97,6 @@ class Dag:
 
     def has_edge(self, src: int, dst: int) -> bool:
         return src in self.parents[dst]
-
-    def with_edge(self, src: int, dst: int) -> "Dag":
-        if self.has_edge(src, dst):
-            raise ValidationError(f"edge {src}->{dst} already present")
-        ps = list(self.parents)
-        ps[dst] = tuple(sorted(ps[dst] + (src,)))
-        return Dag(self.m, tuple(ps))
-
-    def without_edge(self, src: int, dst: int) -> "Dag":
-        if not self.has_edge(src, dst):
-            raise ValidationError(f"edge {src}->{dst} not present")
-        ps = list(self.parents)
-        ps[dst] = tuple(p for p in ps[dst] if p != src)
-        return Dag(self.m, tuple(ps))
-
-    def with_reversed_edge(self, src: int, dst: int) -> "Dag":
-        return self.without_edge(src, dst).with_edge(dst, src)
 
 
 def _reach(parent_masks: Sequence[int], start: int) -> int:

@@ -241,22 +241,31 @@ class Scorer:
 
     # -- local scores ------------------------------------------------------
 
+    def _entry(self, vertex: int, parents: Sequence[int], count=False):
+        """The memo key (vertex, sorted int parents) and its stored
+        ``LocalScore`` or None, counted as a hit or a miss if ``count``. A
+        key not stored is checked with :func:`check_parents`."""
+        cache = self.cache
+        key = (vertex, tuple(sorted(int(p) for p in parents)))
+        found = cache.store.get(key)
+        if found is None:
+            cache.misses += count
+            check_parents(vertex, key[1], self.view.m_total)
+        else:
+            cache.hits += count
+        return key, found
+
     def local(self, vertex: int, parents: Sequence[int]) -> LocalScore:
         cache = self.cache
         # the search passes sorted tuples: one already stored is a hit as is
         found = (cache.store.get((vertex, parents))
                  if type(parents) is tuple else None)
-        if found is None:
-            parents = tuple(sorted(int(p) for p in parents))
-            key = (vertex, parents)
-            found = cache.store.get(key)
         if found is not None:
             cache.hits += 1
             return found
-        cache.misses += 1
-        # a key that fails the check is never stored, so a hit needs none
-        check_parents(vertex, parents, self.view.m_total)
-        found = cache.store[key] = self._compute_local(vertex, parents)
+        key, found = self._entry(vertex, parents, count=True)
+        if found is None:
+            found = cache.store[key] = self._compute_local(*key)
         return found
 
     def local_bound(self, vertex: int, parents: Sequence[int]) -> float:
@@ -269,14 +278,12 @@ class Scorer:
         at most q, and since rounding is monotone the bound is ``te - L``.
         With none drawn, a discrete-plugin local is bounded by
         ``te + _BOUND_SLACK``, and the other estimators' by ``inf``."""
-        parents = tuple(sorted(int(p) for p in parents))
-        key = (vertex, parents)
-        found = self.cache.store.get(key)
+        key, found = self._entry(vertex, parents)
         if found is not None:
             return found.local
+        vertex, parents = key
         if self.score_kind != "tee" or not parents:
             return self.local(vertex, parents).local
-        check_parents(vertex, parents, self.view.m_total)
         drawn = self._drawn.get(key)
         if drawn is None and self.estimator.method != "discrete-plugin":
             return math.inf
@@ -292,11 +299,12 @@ class Scorer:
         is K - r + 1 draws (see :meth:`local_bound`) and each later one
         doubles the count drawn; a chunk that would reach K completes the
         population through :meth:`local`."""
-        parents = tuple(sorted(int(p) for p in parents))
-        key = (vertex, parents)
-        if self.score_kind != "tee" or not parents or key in self.cache.store:
+        if self.score_kind != "tee":
             return False
-        check_parents(vertex, parents, self.view.m_total)
+        key, found = self._entry(vertex, parents)
+        vertex, parents = key
+        if found is not None or not parents:
+            return False
         drawn = self._drawn.get(key, [])
         stop = 2 * len(drawn) if drawn else self._first_chunk
         if stop >= self.surrogates.count:

@@ -15,10 +15,17 @@ when the window admits its total.
 Hill climbing starts from the empty graph (penalized scores make it the
 natural null model) plus optional random restarts, each start drawn just
 before its climb, and repeatedly applies the rule's pick among the single
-edge additions, deletions and reversals with a positive score delta. Deltas
-touch only the vertices whose parent sets change, so each step costs a
-handful of memoized local scores. The rule also chooses among the
-restarts' local optima.
+edge additions, deletions and reversals with a positive score delta. The
+rule also chooses among the restarts' local optima.
+
+A move is the parent sets it changes: its trace label, such as
+``"add 1->0"``, and the new sorted parent tuple of each vertex it touches
+(for a reversal of src->dst, dst's and then src's). Bounds, chunks, deltas
+and the graph it leads to all read that one form, so each step costs a
+handful of memoized local scores whose keys the memo holds as they stand.
+Legality comes from :func:`graph.creates_cycle` without building graphs:
+an add src->dst is legal iff dst does not reach src, and reversing src->dst
+iff src reaches no other parent of dst.
 
 Each step is lazy (Minoux's lazy greedy): it bounds every candidate's delta
 with :func:`move_bound` and keeps the moves in a max-heap by bound. It pops
@@ -138,56 +145,37 @@ def exhaustive_search(scorer: Scorer) -> SearchResult:
 
 
 def _candidate_moves(graph: Dag, max_parents: Optional[int]):
-    """Legal single-edge moves, in a fixed deterministic order."""
-    m = graph.m
-    moves = []
-    for src in range(m):
-        for dst in range(m):
-            if src == dst or graph.has_edge(src, dst):
-                continue
-            if max_parents is not None and len(graph.parents[dst]) >= max_parents:
-                continue
-            if creates_cycle(graph, src, dst):
-                continue
-            moves.append(("add", src, dst))
-    for src, dst in graph.edges():
-        moves.append(("delete", src, dst))
-    for src, dst in graph.edges():
-        if max_parents is not None and len(graph.parents[src]) >= max_parents:
-            continue
-        reversed_graph = graph.without_edge(src, dst)
-        if creates_cycle(reversed_graph, dst, src):
-            continue
-        moves.append(("reverse", src, dst))
+    """Legal single-edge moves, in a fixed deterministic order, each as
+    (label, changes): the trace label and the (vertex, new sorted parent
+    tuple) of each vertex whose parent set it changes."""
+    ps = graph.parents
+    room = [max_parents is None or len(p) < max_parents for p in ps]
+    # each edge src->dst, with the parents dst keeps without it
+    rest = {(src, dst): tuple(p for p in ps[dst] if p != src)
+            for src, dst in graph.edges()}
+    moves = [(f"add {src}->{dst}", ((dst, tuple(sorted(ps[dst] + (src,)))),))
+             for src in range(graph.m) for dst in range(graph.m)
+             if src != dst and src not in ps[dst] and room[dst]
+             and not creates_cycle(graph, src, dst)]
+    moves += [(f"delete {src}->{dst}", ((dst, kept),))
+              for (src, dst), kept in rest.items()]
+    # dst->src closes a cycle iff src reaches another parent of dst
+    moves += [(f"reverse {src}->{dst}",
+               ((dst, kept), (src, tuple(sorted(ps[src] + (dst,))))))
+              for (src, dst), kept in rest.items()
+              if room[src] and not any(creates_cycle(graph, p, src) for p in kept)]
     return moves
 
 
 def _apply(graph: Dag, move) -> Dag:
-    op, src, dst = move
-    if op == "add":
-        return graph.with_edge(src, dst)
-    if op == "delete":
-        return graph.without_edge(src, dst)
-    return graph.with_reversed_edge(src, dst)
-
-
-def _touched(graph: Dag, move):
-    """(vertex, parents before, parents after) of each vertex a move changes."""
-    op, src, dst = move
-    ps = graph.parents
-    if op == "add":
-        return ((dst, ps[dst], ps[dst] + (src,)),)
-    # delete src->dst, or reverse it: dst loses src (and src gains dst)
-    dropped = (dst, ps[dst], tuple(p for p in ps[dst] if p != src))
-    if op == "delete":
-        return (dropped,)
-    return (dropped, (src, ps[src], ps[src] + (dst,)))
+    new = dict(move[1])
+    return Dag(graph.m, tuple(new.get(v, ps) for v, ps in enumerate(graph.parents)))
 
 
 def _change(scorer: Scorer, graph: Dag, move, local_after) -> float:
-    touched = _touched(graph, move)
-    before = sum(scorer.local(v, old).local for v, old, _ in touched)
-    return sum(local_after(v, new) for v, _, new in touched) - before
+    changes = move[1]
+    before = sum(scorer.local(v, graph.parents[v]).local for v, _ in changes)
+    return sum(local_after(v, new) for v, new in changes) - before
 
 
 def move_delta(scorer: Scorer, graph: Dag, move) -> float:
@@ -222,7 +210,7 @@ def _step(scorer: Scorer, graph: Dag, moves):
             break
         move = moves[i]
         # a list, not a generator: every touched population draws its chunk
-        if any([scorer.draw_chunk(v, new) for v, _, new in _touched(graph, move)]):
+        if any([scorer.draw_chunk(v, new) for v, new in move[1]]):
             heapq.heappush(heap, (-move_bound(scorer, graph, move), i))
             continue
         delta = move_delta(scorer, graph, move)
@@ -246,8 +234,7 @@ def _climb(scorer: Scorer, start: Dag, max_parents: Optional[int]):
         delta, _, move = step
         graph = _apply(graph, move)
         total += delta
-        op, src, dst = move
-        trace.append((f"{op} {src}->{dst}", delta))
+        trace.append((move[0], delta))
 
 
 def greedy_hill_climb(scorer: Scorer, cfg: SearchConfig | None = None) -> SearchResult:

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own code paths: entropy
 by dictionary counting, chi-squared CDF by quadrature, DAG counts by the
 inclusion-exclusion recurrence, stationary covariance by fixed-point
-iteration.
+iteration. The greedy climb's oracle builds its own moves, each candidate
+graph through the validating ``Dag`` constructor, and imports no private
+helper of the search (tests/test_private_imports.py holds it to that).
 """
 
 import csv
@@ -20,7 +22,7 @@ import netinfer as ni
 from netinfer.errors import DataFormatError, NumericError
 from netinfer.estimators import history, next_value
 from netinfer.graph import random_dag
-from netinfer.search import _TIE_EPS, _apply, _candidate_moves
+from netinfer.search import _TIE_EPS
 from netinfer.significance import derive_seed
 
 # Property tests draw the same examples on every run, so a counterexample
@@ -231,24 +233,50 @@ def reference_exhaustive_search(scorer, tie_eps):
     return reference_pick(scored, tie_eps)[2], len(scored)
 
 
-# The reference for the greedy climb scores every candidate move exactly,
+# The reference for the greedy climb builds its own moves: it tries every
+# add, delete and reversal in the climb's order, builds each candidate graph
+# with the validating Dag constructor and keeps those the constructor accepts
+# and the parent cap allows. It scores every candidate move exactly,
 # surrogates included, and applies the tie rule to the positive ones.
 
-def reference_move_delta(scorer, graph, move):
-    op, src, dst = move
-    if op == "add":
-        before = scorer.local(dst, graph.parents[dst]).local
-        after = scorer.local(dst, graph.parents[dst] + (src,)).local
-        return after - before
-    if op == "delete":
-        before = scorer.local(dst, graph.parents[dst]).local
-        after = scorer.local(dst, tuple(p for p in graph.parents[dst] if p != src)).local
-        return after - before
-    before = (scorer.local(dst, graph.parents[dst]).local
-              + scorer.local(src, graph.parents[src]).local)
-    after = (scorer.local(dst, tuple(p for p in graph.parents[dst] if p != src)).local
-             + scorer.local(src, graph.parents[src] + (dst,)).local)
-    return after - before
+def reference_moves(graph, max_parents):
+    """[(label, graph after)] of every legal single-edge move, in the
+    climb's order: adds by (src, dst), then deletes, then reversals, each by
+    edge."""
+    m = graph.m
+    tried = [("add", src, dst) for src in range(m) for dst in range(m)]
+    tried += [("delete", src, dst) for src, dst in graph.edges()]
+    tried += [("reverse", src, dst) for src, dst in graph.edges()]
+    moves = []
+    for op, src, dst in tried:
+        edges = set(graph.edges())
+        if op == "add":
+            if (src, dst) in edges:
+                continue
+            edges.add((src, dst))
+        else:
+            edges.discard((src, dst))
+            if op == "reverse":
+                edges.add((dst, src))
+        try:
+            after = ni.Dag.from_edges(m, sorted(edges))
+        except ni.ValidationError:
+            continue  # a self-loop or a cycle
+        grown = [v for v in range(m)
+                 if len(after.parents[v]) > len(graph.parents[v])]
+        if max_parents is not None and any(
+                len(after.parents[v]) > max_parents for v in grown):
+            continue
+        moves.append((f"{op} {src}->{dst}", after))
+    return moves
+
+
+def reference_move_delta(scorer, graph, after):
+    """Score change from graph to after, summed over the vertices whose
+    parent sets differ."""
+    changed = [v for v in range(graph.m) if graph.parents[v] != after.parents[v]]
+    before = sum(scorer.local(v, graph.parents[v]).local for v in changed)
+    return sum(scorer.local(v, after.parents[v]).local for v in changed) - before
 
 
 def reference_climb(scorer, start, max_parents):
@@ -259,18 +287,16 @@ def reference_climb(scorer, start, max_parents):
     trace = []
     visited = 1
     while True:
-        moves = _candidate_moves(graph, max_parents)
+        moves = reference_moves(graph, max_parents)
         visited += len(moves)
-        scored = [(reference_move_delta(scorer, graph, move),
-                   _apply(graph, move).edges(), move) for move in moves]
+        scored = [(reference_move_delta(scorer, graph, after), after.edges(),
+                   label, after) for label, after in moves]
         positive = [c for c in scored if c[0] > 0.0]
         if not positive:
             return graph, total, trace, visited
-        delta, _, move = reference_pick(positive, _TIE_EPS)
-        graph = _apply(graph, move)
+        delta, _, label, graph = reference_pick(positive, _TIE_EPS)
         total += delta
-        op, src, dst = move
-        trace.append((f"{op} {src}->{dst}", delta))
+        trace.append((label, delta))
 
 
 def reference_greedy(scorer, cfg):

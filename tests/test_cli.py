@@ -425,6 +425,18 @@ def test_infer_exhaustive_rejects_max_parents(tmp_path, simulated, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("restarts", ["0", "3"])
+def test_infer_exhaustive_rejects_restarts(tmp_path, simulated, capsys, restarts):
+    # an explicit --restarts, even 0, has no meaning without greedy search
+    out = tmp_path / "run"
+    assert main(["infer", "--data", str(simulated / "data.csv"),
+                 "--out-dir", str(out), "--search", "exhaustive",
+                 "--score", "tea", "--bins", "4", "--restarts", restarts]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --restarts") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_infer_exhaustive_te_warning_names_no_cap(tmp_path, simulated, capsys):
     assert main(["infer", "--data", str(simulated / "data.csv"),
                  "--out-dir", str(tmp_path / "run"), "--search", "exhaustive",

@@ -53,10 +53,11 @@ def test_te_score_penalty_is_zero_and_total_decomposes():
 
 def test_te_score_adding_edge_never_lowers_total():
     view = random_discrete_view(3, 600, 3, seed=2)
-    g = ni.Dag.empty(3)
-    total = ni.Scorer(view, "te", DISCRETE).score(g).total
-    for src, dst in [(0, 1), (1, 2), (0, 2)]:
-        g = g.with_edge(src, dst)
+    edges = []
+    total = ni.Scorer(view, "te", DISCRETE).score(ni.Dag.empty(3)).total
+    for edge in [(0, 1), (1, 2), (0, 2)]:
+        edges.append(edge)
+        g = ni.Dag.from_edges(3, edges)
         new_total = ni.Scorer(view, "te", DISCRETE).score(g).total
         assert new_total >= total - 1e-12
         total = new_total

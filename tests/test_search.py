@@ -26,6 +26,7 @@ from conftest import (
     reference_exhaustive_search,
     reference_greedy,
     reference_kahn_order,
+    reference_moves,
     simulate_chain,
 )
 
@@ -131,10 +132,32 @@ def test_greedy_deterministic():
 def test_candidate_moves_respect_acyclicity_and_cap():
     g = chain_dag(3)
     moves = _candidate_moves(g, max_parents=1)
-    assert ("add", 2, 0) not in moves  # would close the cycle 0->1->2->0
-    assert ("add", 0, 2) not in moves  # vertex 2 already has its one parent
+    labels = [label for label, _ in moves]
+    assert "add 2->0" not in labels  # would close the cycle 0->1->2->0
+    assert "add 0->2" not in labels  # vertex 2 already has its one parent
+    # reversing 1->2 would give vertex 1 a second parent
+    assert labels == ["delete 0->1", "delete 1->2", "reverse 0->1"]
     for move in moves:
         assert len(reference_kahn_order(_apply(g, move))) == 3
+
+
+@pytest.mark.parametrize("max_parents", [None, 1, 2])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_candidate_moves_match_reference_moves(m, max_parents):
+    # every legal move, in the climb's order, each with the graph the
+    # validating constructor builds from its edges
+    rng = np.random.default_rng(100 + m)
+    graphs = [ni.Dag.empty(m)] + [random_dag(m, rng, edge_prob=p)
+                                  for p in (0.2, 0.4, 0.6, 0.8, 1.0)
+                                  for _ in range(4)]
+    for g in graphs:
+        moves = _candidate_moves(g, max_parents)
+        expected = reference_moves(g, max_parents)
+        assert [label for label, _ in moves] == [label for label, _ in expected]
+        assert [_apply(g, move) for move in moves] == [after for _, after in expected]
+        for _, changes in moves:
+            # sorted parent tuples: the memo's stored keys as they stand
+            assert all(new == tuple(sorted(new)) for _, new in changes)
 
 
 def test_move_delta_matches_full_recompute_fuzz():
@@ -414,8 +437,8 @@ def test_lazy_climb_keeps_the_whole_tie_cluster(monkeypatch):
     assert lazy.trace == ref.trace
     assert lazy.best.parents == ref.best.parents
     assert lazy.visited == ref.visited
-    first_step = [move for edges, move in evaluated if edges == ()]
-    assert first_step == [("add", 1, 0), ("add", 0, 2)]
+    first_step = [label for edges, (label, _) in evaluated if edges == ()]
+    assert first_step == ["add 1->0", "add 0->2"]
 
 
 class _DriftScorer:
