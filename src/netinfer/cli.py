@@ -27,7 +27,7 @@ from .errors import (DataFormatError, NetinferError, NumericError, ValidationErr
 from .estimators import EstimatorKind
 from .graph import Dag, compare_graphs, dag_from_dot, write_dot
 from .scores import SCORE_KINDS, Scorer
-from .search import SearchConfig, exhaustive_search, greedy_hill_climb
+from .search import MAX_RESTARTS, SearchConfig, exhaustive_search, greedy_hill_climb
 from .significance import SurrogateConfig
 from .simulate import (
     CoupledLogisticModel,
@@ -346,6 +346,12 @@ def cmd_infer(args, argv) -> int:
         if args.search == "exhaustive" and getattr(args, flag) is not None:
             raise ValidationError(f"--{flag.replace('_', '-')} applies to greedy "
                                   "search only; exhaustive search scores every DAG")
+    if args.search == "greedy":
+        config = SearchConfig(
+            max_parents=args.max_parents if args.max_parents is not None else "auto",
+            restarts=args.restarts or 0,
+            seed=args.seed,
+        )
     ts = load_csv(args.data)
     if args.score in ("te", "ml") and args.max_parents is None:
         if args.search == "exhaustive":
@@ -360,11 +366,7 @@ def cmd_infer(args, argv) -> int:
     if args.search == "exhaustive":
         result = exhaustive_search(scorer)
     else:
-        result = greedy_hill_climb(scorer, SearchConfig(
-            max_parents=args.max_parents if args.max_parents is not None else "auto",
-            restarts=args.restarts or 0,
-            seed=args.seed,
-        ))
+        result = greedy_hill_climb(scorer, config)
 
     os.makedirs(args.out_dir, exist_ok=True)
     dot_path = os.path.join(args.out_dir, "inferred.dot")
@@ -432,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--search", choices=["exhaustive", "greedy"],
                        default="greedy")
     infer.add_argument("--restarts", type=int, default=None,
-                       help="random restarts (greedy search only; default 0)")
+                       help="random restarts (greedy search only; default 0, "
+                            f"at most {MAX_RESTARTS})")
     infer.add_argument("--max-parents", type=int, default=None,
                        help="parent cap (greedy search only)")
     _add_scoring_flags(infer)

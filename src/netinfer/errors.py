@@ -7,6 +7,8 @@ the one check of an integer setting live here too, so that any module can
 use them without importing another.
 """
 
+from __future__ import annotations
+
 import math
 import numbers
 
@@ -42,12 +44,15 @@ def check_number(name: str, value) -> float:
     return number
 
 
-def check_int(name: str, value, minimum: int) -> int:
+def check_int(name: str, value, minimum: int, maximum: int | None = None) -> int:
     """The one rule for an integer setting: ``value`` as an int, if it is a
     number by :func:`check_number` that is integral (2, 2.0 or numpy's int64
-    2, not True, 2.5 or "2") and at least ``minimum``."""
+    2, not True, 2.5 or "2"), at least ``minimum`` and, when a ``maximum``
+    is given, at most that."""
     if not check_number(name, value).is_integer():
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{name} must be <= {maximum}, got {value!r}")
     return int(value)

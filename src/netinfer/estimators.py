@@ -13,14 +13,17 @@ Three interchangeable density models back every measure here:
 * ``box-kernel``: hard-cutoff kernel; the conditional probability at each
   row is the ratio of neighbour counts inside an axis-aligned box
   (max-norm radius = width, self excluded, zero-neighbour rows floored at
-  one count). Both counts of H(Z|W) come from one pass over W's neighbour
-  pairs, found block by block over rows sorted by W's first coordinate,
-  so memory stays bounded whatever the width.
+  one count). Both counts of H(Z|W) come from one pass over the neighbour
+  pairs of W's first column block, found in dense tiles over rows sorted
+  by its first coordinate and filtered by W's other columns and by Z. A
+  view keeps each first block's pairs, up to a cap, so every entropy
+  conditioned on a destination's own past, its surrogates included,
+  counts from pairs found once.
 
-All values are in bits. A view memoises its dense row ids and every
-conditional entropy computed on it, without a lock, so a view, and the
-``Scorer`` that holds it, serves one thread; the surrogate pool only
-reorders and counts arrays prepared before it starts.
+All values are in bits. A view memoises its dense row ids, its kept
+neighbour pairs and every conditional entropy computed on it, without a
+lock, so a view, and the ``Scorer`` that holds it, serves one thread; the
+surrogate pool only reorders and counts arrays prepared before it starts.
 """
 
 from __future__ import annotations
@@ -191,76 +194,155 @@ def gaussian_cond_entropy(z: np.ndarray, w: np.ndarray) -> float:
     return 0.5 * (dz * math.log2(_TWO_PI_E) + logabsdet / math.log(2.0))
 
 
-# Rows sorted by W's first coordinate are cut into blocks of this many, one
-# small cKDTree each; a call holds at most one block pair's neighbour records
-# (_BOX_BLOCK ** 2), whatever the width. In one box-kernel tee infer (M=3,
-# N=3000, 19 surrogates, 2 vCPUs) 64-row blocks took 1.6x as long as 128;
-# 256-row blocks took 8-23% less time but peaked 1.6 MB higher at width
-# 0.08 and 9 MB higher at 0.5.
+# Rows sorted by their first coordinate are cut into blocks of this many, and
+# each block is compared with the rows after it in dense tiles of
+# _BOX_BLOCK x _BOX_TILE distances, so a tile yields at most 64k pairs and a
+# pass that keeps none peaks near 3 MB, whatever the width. In one serial
+# box-kernel tee infer (M=3, N=3000, width 0.08, 19 surrogates, 2 vCPUs)
+# 128 x 512 tiles took 0.36-0.38 s, against 0.38-0.42 s for 128 x 256,
+# 0.38-0.41 s for 128 x 1024, 0.40-0.45 s for 256 x 512 and 0.42-0.50 s for
+# 64 x 512.
 _BOX_BLOCK = 128
+_BOX_TILE = 4 * _BOX_BLOCK
+
+# A view keeps the neighbour pairs of its conditioners' first blocks while
+# their total stays within this many (8 bytes each as two int32 row ids,
+# 16 MB at the cap); past it, each entropy finds the pairs of its whole
+# conditioning space afresh. The box-tee-m3 benchmark (N=3000, width 0.08)
+# keeps 973k pairs over its three destinations. At width 0.25 the same data
+# has 4.0M: with this cap one destination's are kept and an infer took
+# 3.6 s and peaked at 57 MB; keeping all of them took 2.6 s but 74 MB.
+_KEPT_PAIRS = 2 ** 21
+
+
+def _box_pairs(x: np.ndarray, width: float):
+    """Yield every pair of rows of ``x`` within max-norm distance ``width``
+    as two int32 arrays ``(i, j)`` of row ids, ``i < j``, one chunk per tile.
+
+    Rows are sorted by their first coordinate x0, stably, and cut into
+    blocks; each block is compared with the rows from its own start up to
+    the last whose x0 lies within ``width`` of the block's last x0, by the
+    same predicate ``np.abs(a - b) <= width`` on every column as a brute
+    force. Floating-point subtraction is monotone, so that stop never drops
+    a pair the max-norm admits, and the pairs are exact.
+    """
+    n = x.shape[0]
+    order = np.argsort(x[:, 0], kind="stable")
+    xs = x[order]
+    x0 = xs[:, 0]
+    rows = order.astype(np.int32)
+    for s in range(0, n, _BOX_BLOCK):
+        e = min(s + _BOX_BLOCK, n)
+        stop = e + int(np.searchsorted(x0[e:] - x0[e - 1], width, side="right"))
+        a = xs[s:e]
+        for t in range(s, stop, _BOX_TILE):
+            b = xs[t:min(t + _BOX_TILE, stop)]
+            near = np.abs(a[:, None, 0] - b[None, :, 0]) <= width
+            for k in range(1, x.shape[1]):
+                near &= np.abs(a[:, None, k] - b[None, :, k]) <= width
+            if t == s:
+                near = np.triu(near, 1)  # each pair once, no row with itself
+            i, j = np.nonzero(near)
+            yield rows[s + i], rows[t + j]
+
+
+def _pair_counts(chunks, rest: np.ndarray, z: np.ndarray, width: float, n: int):
+    """Per-row neighbour counts ``(cw, czw)`` over W and over (W, Z), self
+    excluded, from the pairs of rows within ``width`` on W's first columns.
+
+    ``chunks`` yields those pairs as :func:`_box_pairs` does, and ``rest``
+    holds W's other columns. A pair counts towards both its rows in cw when
+    its ``rest`` columns also lie within ``width``, and in czw when its
+    ``z`` columns do too. The counts are integers, so they do not depend on
+    the order of the pairs.
+    """
+    cw = np.zeros(n, dtype=np.int64)
+    czw = np.zeros(n, dtype=np.int64)
+    stages = ((cw, [np.ascontiguousarray(c) for c in rest.T]),
+              (czw, [np.ascontiguousarray(c) for c in z.T]))
+    for i, j in chunks:
+        for counts, columns in stages:
+            for c in columns:
+                d = c.take(i)
+                d -= c.take(j)
+                near = np.abs(d, out=d) <= width
+                i, j = i[near], j[near]
+            counts += np.bincount(i, minlength=n)
+            counts += np.bincount(j, minlength=n)
+    return cw, czw
 
 
 def _box_counts(w: np.ndarray, z: np.ndarray, width: float):
     """Per-row neighbour counts within max-norm radius ``width``, self
-    excluded: ``(cw, czw)`` over W and over (W, Z).
-
-    Both come from one pass over the neighbour pairs in W: a pair also
-    counts towards czw when its Z rows lie within ``width``. (When W is
-    empty the pairs are taken over Z, and every row has n - 1 neighbours
-    in W.) Rows are sorted by their first coordinate x0 and cut into
-    blocks; each block pairs with itself and with each later block up to
-    the first whose first x0 lies more than ``width`` past its own last
-    x0. Floating-point subtraction is monotone, so that stop never drops a
-    pair the max-norm admits, and the counts are exact.
-    """
-    from scipy.spatial import cKDTree  # here: its ~0.5 s import only when used
+    excluded: ``(cw, czw)`` over W and over (W, Z), from W's pairs found
+    tile by tile and never kept, so memory stays bounded by one tile. (When
+    W is empty the pairs are taken over Z, and every row has n - 1
+    neighbours in W.)"""
     n = z.shape[0]
     x = w if w.shape[1] else z
-    order = np.argsort(x[:, 0], kind="stable")
-    x, z = x[order], np.asarray(z[order], dtype=float)
-    x0 = x[:, 0]
-    blocks = [(s, min(s + _BOX_BLOCK, n)) for s in range(0, n, _BOX_BLOCK)]
-    trees = [cKDTree(x[s:e]) for s, e in blocks]
-    cx = np.zeros(n, dtype=np.int64)
-    cxz = np.zeros(n, dtype=np.int64)
-
-    def add(i, a, j, b):
-        """Count the pairs (row i of block a, row j of block b)."""
-        near = np.abs(z[blocks[a][0] + i] - z[blocks[b][0] + j]).max(axis=1) <= width
-        for ends, (s, e) in ((i, blocks[a]), (j, blocks[b])):
-            cx[s:e] += np.bincount(ends, minlength=e - s)
-            cxz[s:e] += np.bincount(ends[near], minlength=e - s)
-
-    for a, (_, end_a) in enumerate(blocks):
-        pairs = trees[a].query_pairs(width, p=np.inf, output_type="ndarray")
-        add(pairs[:, 0], a, pairs[:, 1], a)
-        for b in range(a + 1, len(blocks)):
-            if x0[blocks[b][0]] - x0[end_a - 1] > width:
-                break
-            rec = trees[a].sparse_distance_matrix(trees[b], width, p=np.inf,
-                                                  output_type="ndarray")
-            add(rec["i"], a, rec["j"], b)
-    cw, czw = np.empty_like(cx), np.empty_like(cxz)
-    cw[order], czw[order] = cx, cxz
+    cw, czw = _pair_counts(_box_pairs(x, width), w[:, :0], z, width, n)
     if not w.shape[1]:
         cw[:] = n - 1
     return cw, czw
 
 
-def box_cond_entropy(z: np.ndarray, w: np.ndarray, width: float) -> float:
-    """H(Z|W) from hard-cutoff kernel neighbour-count ratios, in bits."""
-    if z.shape[0] < 1:
+def _box_entropy(cw: np.ndarray, czw: np.ndarray) -> float:
+    """H(Z|W) in bits from the per-row counts over W and over (W, Z), each
+    floored at one."""
+    if len(cw) < 1:
         raise ValidationError("empty view")
-    cw, czw = _box_counts(w, z, width)
     cw = np.maximum(cw, 1)
     czw = np.maximum(czw, 1)
     return float(np.mean(np.log2(cw) - np.log2(czw)))
 
 
-def _real_cond_entropy(kind: EstimatorKind, z: np.ndarray, w: np.ndarray) -> float:
-    if kind.method == "linear-gaussian":
-        return gaussian_cond_entropy(z, w)
-    return box_cond_entropy(z, w, kind.width)
+def box_cond_entropy(z: np.ndarray, w: np.ndarray, width: float) -> float:
+    """H(Z|W) from hard-cutoff kernel neighbour-count ratios, in bits."""
+    return _box_entropy(*_box_counts(w, z, width))
+
+
+def _kept_pairs(view: EmbeddedView, sel: Selection, width: float):
+    """The neighbour-pair chunks of one column block (see :func:`_box_pairs`),
+    found once and kept on the view, or None when keeping them would take
+    the view's kept pairs past ``_KEPT_PAIRS``. Kept chunks are only read,
+    so any thread may count from them."""
+    key = ("box-pairs", width, sel)
+    if key not in view._memo:
+        room = _KEPT_PAIRS - sum(len(i) for k, found in view._memo.items()
+                                 if k[0] == "box-pairs" and found for i, _ in found)
+        chunks, total = [], 0
+        for i, j in _box_pairs(_resolve(view, [sel]), width):
+            total += len(i)
+            if total > room:
+                chunks = None
+                break
+            chunks.append((i, j))
+        view._memo[key] = chunks
+    return view._memo[key]
+
+
+def _box_given(view: EmbeddedView, first: Selection, z: np.ndarray, width: float):
+    """A function of W's other columns ``rest`` that returns H(Z | first
+    block, rest) on the box kernel. It counts from the first block's kept
+    pairs, filtered by ``rest``; with none kept, from pairs found afresh
+    over the whole of W."""
+    pairs = _kept_pairs(view, first, width)
+    x = _resolve(view, [first])
+
+    def entropy(rest: np.ndarray) -> float:
+        if pairs is None:
+            return box_cond_entropy(z, np.hstack([x, rest]), width)
+        return _box_entropy(*_pair_counts(pairs, rest, z, width, view.rows))
+    return entropy
+
+
+def _box_from_view(view: EmbeddedView, target, conditioners, width: float) -> float:
+    """H(target | conditioners) on the box kernel, counted from the first
+    conditioner block's pairs (see :func:`_box_given`)."""
+    z = _resolve(view, target)
+    if not conditioners:
+        return box_cond_entropy(z, _resolve(view, conditioners), width)
+    return _box_given(view, conditioners[0], z, width)(_resolve(view, conditioners[1:]))
 
 
 def _check_kind(view: EmbeddedView, kind: EstimatorKind):
@@ -293,9 +375,11 @@ def conditional_entropy(target, conditioners, view: EmbeddedView,
             raise ValidationError("target selection is empty")
         if kind.method == "discrete-plugin":
             found = _discrete_from_view(view, target, conditioners)
+        elif kind.method == "linear-gaussian":
+            found = gaussian_cond_entropy(_resolve(view, target),
+                                          _resolve(view, conditioners))
         else:
-            found = _real_cond_entropy(kind, _resolve(view, target),
-                                       _resolve(view, conditioners))
+            found = _box_from_view(view, target, conditioners, kind.width)
         view._memo[key] = found
     return found
 
@@ -341,10 +425,13 @@ def resampled_source_entropy(dest: int, sources, view: EmbeddedView,
                                          dz_base + s, n_dz * n_src, log2)
         return h_self, src, h_full
     z = _resolve(view, [next_value(dest)])
-    wd = _resolve(view, [history(dest)])
+    if kind.method == "box-kernel":
+        h_full = _box_given(view, history(dest), z, kind.width)
+    else:
+        wd = _resolve(view, [history(dest)])
 
-    def h_full(ws: np.ndarray) -> float:
-        return _real_cond_entropy(kind, z, np.hstack([wd, ws]))
+        def h_full(ws: np.ndarray) -> float:
+            return gaussian_cond_entropy(z, np.hstack([wd, ws]))
     return h_self, _resolve(view, [history(s) for s in sources]), h_full
 
 

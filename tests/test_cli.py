@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import netinfer as ni
 from netinfer.cli import main
+from netinfer.search import MAX_RESTARTS
 
 from conftest import cli_env
 
@@ -434,6 +435,22 @@ def test_infer_exhaustive_rejects_restarts(tmp_path, simulated, capsys, restarts
                  "--score", "tea", "--bins", "4", "--restarts", restarts]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --restarts") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_infer_refuses_restarts_past_the_bound_at_once(tmp_path, simulated):
+    # a count this large once climbed until the process was killed; the
+    # timeout turns a return of that into a failure rather than a hang
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "netinfer", "infer", "--data",
+         str(simulated / "data.csv"), "--out-dir", str(out),
+         "--score", "tea", "--bins", "4", "--restarts", "100000000000"],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: restarts must be <= {MAX_RESTARTS}, "
+                           "got 100000000000\n")
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import netinfer as ni
-from netinfer.errors import ValidationError
+from netinfer.errors import ValidationError, check_int
 
 _TS = ni.TimeSeriesSet([[0.0, 1.0, 2.0, 3.0], [3.0, 1.0, 2.0, 0.0]])
 _VIEW = ni.delay_embed(ni.discretize(_TS, 2), ni.EmbeddingSpec.uniform(2))
@@ -80,3 +80,11 @@ def test_number_settings_take_numbers_only(setting):
 def test_width_is_stored_as_float():
     width = ni.EstimatorKind("box-kernel", np.int64(2)).width
     assert width == 2.0 and type(width) is float
+
+
+def test_integer_maximum_is_inclusive_and_optional():
+    assert check_int("k", 5, 0, 5) == 5
+    assert check_int("k", 10 ** 12, 0) == 10 ** 12
+    for value in (6, 6.0, 10 ** 11):
+        with pytest.raises(ValidationError, match="k must be <= 5"):
+            check_int("k", value, 0, 5)

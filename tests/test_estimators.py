@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,7 @@ from netinfer.estimators import (
 from conftest import (
     brute_box_counts,
     chain_dag,
+    cli_env,
     counting_cond_entropy,
     gaussian_cond_var,
     random_discrete_view,
@@ -325,6 +328,122 @@ def test_box_counts_memory_bounded_by_block():
         tracemalloc.stop()
     assert np.all(cw == 1499) and np.all(czw == 1499)
     assert peak < 4 * 2 ** 20
+
+
+# the pairs a view keeps: every box entropy of one first conditioner block
+# counts from that block's pairs, filtered by the other blocks and by Z
+
+def _recorded_pair_counts(monkeypatch):
+    """Record (rest, z, (cw, czw)) of every call of the counting kernel."""
+    calls = []
+    real = ni.estimators._pair_counts
+
+    def record(chunks, rest, z, width, n):
+        found = real(chunks, rest, z, width, n)
+        calls.append((rest, z, found))
+        return found
+    monkeypatch.setattr(ni.estimators, "_pair_counts", record)
+    return calls
+
+
+def _assert_counts_exact(first, rest, z, counts, width):
+    w = np.hstack([first, rest])
+    wz = np.hstack([w, z])
+    for got, x in zip(counts, (w, wz)):
+        assert np.array_equal(got, brute_box_counts(x, width))
+        assert np.array_equal(got, reference_box_counts(x, width))
+
+
+def _integer_grid_view():
+    # integer values at width 1.0: many pairs lie exactly on the box edge,
+    # and equal histories sit at distance 0
+    series = np.random.default_rng(25).integers(0, 6, size=(3, 600)).astype(float)
+    return ni.delay_embed(ni.TimeSeriesSet(series), ni.EmbeddingSpec.uniform(3, 1, 2))
+
+
+_KEPT_VIEWS = {
+    "chaotic": (0.15, lambda: _real_chain_view(26)),
+    "integer-grid": (1.0, _integer_grid_view),
+}
+
+
+@pytest.mark.parametrize("data", sorted(_KEPT_VIEWS))
+def test_kept_pairs_count_every_entropy_exactly(monkeypatch, data):
+    width, make_view = _KEPT_VIEWS[data]
+    kind = ni.EstimatorKind.box_kernel(width)
+    view = make_view()
+    calls = _recorded_pair_counts(monkeypatch)
+    hist = [view.history(s) for s in range(3)]
+    joint_z = np.hstack([view.target(s)[:, None] for s in range(3)])
+    ni.conditional_entropy(next_value(1), [history(1)], view, kind)
+    ni.conditional_entropy(next_value(1), [history(1), history(0), history(2)],
+                           view, kind)
+    ni.conditional_entropy([next_value(s) for s in range(3)],
+                           [history(s) for s in range(3)], view, kind)
+    expected = [(hist[1], view.target(1)[:, None]),
+                (hist[1], view.target(1)[:, None]),
+                (hist[0], joint_z)]
+    assert len(calls) == 3
+    for (rest, z, counts), (first, want_z) in zip(calls, expected):
+        assert np.array_equal(z, want_z)
+        _assert_counts_exact(first, rest, z, counts, width)
+    assert np.array_equal(calls[1][0], np.hstack([hist[0], hist[2]]))
+    assert np.array_equal(calls[2][0], np.hstack(hist[1:]))
+    for method in ("permutation", "bootstrap"):
+        _, block, h_full = ni.estimators.resampled_source_entropy(1, (0, 2), view, kind)
+        ws = ni.significance.resample_rows(block, method, np.random.default_rng(27))
+        if method == "bootstrap":
+            assert len(np.unique(ws, axis=0)) < len(ws)  # duplicated rows
+        h_full(ws)
+        rest, z, counts = calls[-1]
+        assert rest is ws
+        _assert_counts_exact(hist[1], ws, z, counts, width)
+    assert view._memo[("box-pairs", width, history(1))] is not None
+
+
+def _box_values(view, kind):
+    """Every box entropy, local and surrogate population of a 3-subsystem
+    view, in a fixed order."""
+    values = [ni.stochastic_interaction(view, kind)]
+    for v in range(3):
+        for parents in (((v + 1) % 3,), tuple(u for u in range(3) if u != v)):
+            values.append(ni.collective_transfer_entropy(v, parents, view, kind))
+            for method in ("permutation", "bootstrap"):
+                cfg = ni.SurrogateConfig(count=5, method=method, seed=v)
+                values += ni.surrogate_te_samples(v, parents, view, kind, cfg)
+    return values
+
+
+@pytest.mark.parametrize("data", sorted(_KEPT_VIEWS))
+def test_pairs_past_the_cap_give_the_same_bits(monkeypatch, data):
+    width, make_view = _KEPT_VIEWS[data]
+    kind = ni.EstimatorKind.box_kernel(width)
+    kept_view = make_view()
+    kept = _box_values(kept_view, kind)
+    monkeypatch.setattr(ni.estimators, "_KEPT_PAIRS", 0)
+    fresh_view = make_view()
+    fresh = _box_values(fresh_view, kind)
+    assert [h.hex() for h in fresh] == [h.hex() for h in kept]
+    for s in range(3):
+        key = ("box-pairs", width, history(s))
+        assert kept_view._memo[key] is not None and fresh_view._memo[key] is None
+
+
+def test_box_kernel_tee_imports_no_scipy_spatial():
+    # importing scipy.spatial after numpy took a fresh interpreter's peak
+    # resident memory from 27 MB to 65 MB; the box kernel counts with numpy only
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import netinfer as ni\n"
+            "series = np.random.default_rng(0).random((2, 300))\n"
+            "view = ni.delay_embed(ni.TimeSeriesSet(series), ni.EmbeddingSpec.uniform(2, 1, 1))\n"
+            "scorer = ni.Scorer(view, 'tee', ni.EstimatorKind.box_kernel(0.2),\n"
+            "                   surrogates=ni.SurrogateConfig(count=19, seed=0))\n"
+            "scorer.local(1, (0,))\n"
+            "print('scipy.spatial' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=cli_env(), check=True)
+    assert proc.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------

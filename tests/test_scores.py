@@ -390,7 +390,7 @@ def _real_view(seed):
 
 @pytest.mark.parametrize("estimator, kernel, per_surrogate", [
     (DISCRETE, "_discrete_from_view", 0),
-    (ni.EstimatorKind.box_kernel(0.3), "box_cond_entropy", 1),
+    (ni.EstimatorKind.box_kernel(0.3), "_pair_counts", 1),
 ])
 def test_tee_local_computes_two_entropies_population_included(
         monkeypatch, estimator, kernel, per_surrogate):

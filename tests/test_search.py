@@ -10,6 +10,7 @@ from netinfer.graph import random_dag
 from netinfer.scores import LocalScore
 from netinfer.search import (
     _TIE_EPS,
+    MAX_RESTARTS,
     SearchConfig,
     _candidate_moves,
     _apply,
@@ -53,6 +54,9 @@ def _periodic_view():
 def test_search_config_validation():
     with pytest.raises(ValidationError):
         SearchConfig(restarts=-1)
+    assert SearchConfig(restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
+    with pytest.raises(ValidationError, match=f"restarts must be <= {MAX_RESTARTS}"):
+        SearchConfig(restarts=MAX_RESTARTS + 1)
     assert SearchConfig().resolved_max_parents("te") == 3
     assert SearchConfig().resolved_max_parents("tee") is None
     assert SearchConfig(max_parents=None).resolved_max_parents("te") is None

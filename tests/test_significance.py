@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from netinfer.significance import (
     te_statistic,
 )
 
-from netinfer.estimators import _BINCOUNT_CAP
+from netinfer.estimators import _BINCOUNT_CAP, history
 
 from conftest import (
     chi2_quantile_quadrature,
@@ -233,6 +234,24 @@ def test_box_surrogates_bit_identical_to_reference(monkeypatch, method, threads)
         got = ni.surrogate_te_samples(1, sources, view,
                                       ni.EstimatorKind.box_kernel(0.1), cfg)
         assert got == reference_box_surrogate_te_samples(1, sources, view, 0.1, cfg)
+
+
+def test_box_surrogates_share_kept_pairs_across_many_threads(monkeypatch):
+    # every pool worker counts from the same kept pair chunks; more workers
+    # than cores and a short switch interval interleave them finely
+    out = simulate_chain(3, seed=33, n=400)
+    view = ni.delay_embed(out.observations, ni.EmbeddingSpec.uniform(3, 1, 2))
+    cfg = ni.SurrogateConfig(count=24, method="bootstrap", seed=9)
+    monkeypatch.setenv("NETINFER_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = ni.surrogate_te_samples(1, (0, 2), view,
+                                      ni.EstimatorKind.box_kernel(0.1), cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert view._memo[("box-pairs", 0.1, history(1))] is not None
+    assert got == reference_box_surrogate_te_samples(1, (0, 2), view, 0.1, cfg)
 
 
 def _prefix_case(estimator):
