@@ -5,8 +5,9 @@ Three interchangeable density models back every measure here:
 * ``discrete-plugin``: raw relative frequencies over integer symbols, no
   bias correction (downstream penalties account for the bias), counted
   over integer row ids: dense ids per view block, joined as a * n_b + b
-  and counted with np.bincount (sorted only when a join's id space
-  passes a cap of 2**18 ids),
+  and counted with np.bincount. Ids are ranked from a table of the codes
+  present while an id space stays within a cap of 2**18 ids
+  (``timeseries.dense_ids``), and sorted only past it,
 * ``linear-gaussian``: H(Z|W) = 0.5 log2((2 pi e)^d det S_{Z|W}) with the
   conditional covariance from a Schur complement of the sample covariance
   (N-1 normalisation),
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError, check_number
 from .graph import Dag, check_parents, check_vertex_count
-from .timeseries import EmbeddedView
+from .timeseries import _BINCOUNT_CAP, EmbeddedView, dense_ids
 
 _COND_LIMIT = 1e12
 _TWO_PI_E = 2.0 * math.pi * math.e
@@ -107,22 +108,8 @@ def _resolve(view: EmbeddedView, selections: Iterable[Selection]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# discrete counting kernel over dense integer row ids
-
-# Id spaces up to this size are counted with np.bincount, one int64 table
-# entry per id (2 MB at the cap); larger ones are sorted instead. Each pooled
-# surrogate holds one table at a time. On greedy tee search (M=5, N=10000,
-# 8 bins) some populations join 66k-135k ids; on a 135k-id join (2 vCPUs,
-# one thread) 2**18 took 0.40 ms per surrogate against 0.74-0.83 ms at 2**16,
-# and the population's traced peak rose from 1.2 to 1.7 MB.
-_BINCOUNT_CAP = 2 ** 18
-
-
-def _dense(code: np.ndarray) -> tuple[np.ndarray, int]:
-    """Renumber an id array to 0..k-1, keeping which rows are equal."""
-    uniq, ids = np.unique(code, return_inverse=True)
-    return ids, len(uniq)
-
+# discrete counting kernel over dense integer row ids; _BINCOUNT_CAP, the
+# largest id space counted by np.bincount, lives next to dense_ids
 
 def _join(a: np.ndarray, n_a: int, b: np.ndarray, n_b: int):
     """Ids of the row pairs (a, b), renumbered densely when the product
@@ -132,7 +119,7 @@ def _join(a: np.ndarray, n_a: int, b: np.ndarray, n_b: int):
     code = a * n_b + b
     if n_a * n_b <= _BINCOUNT_CAP:
         return code, n_a * n_b
-    return _dense(code)
+    return dense_ids(code, n_a * n_b)
 
 
 def _selection_ids(view: EmbeddedView, selections: Sequence[Selection]):
@@ -265,8 +252,8 @@ def _pair_counts(chunks, rest: np.ndarray, z: np.ndarray, width: float, n: int):
             for c in columns:
                 d = c.take(i)
                 d -= c.take(j)
-                near = np.abs(d, out=d) <= width
-                i, j = i[near], j[near]
+                keep = np.flatnonzero(np.abs(d, out=d) <= width)
+                i, j = i.take(keep), j.take(keep)
             counts += np.bincount(i, minlength=n)
             counts += np.bincount(j, minlength=n)
     return cw, czw
@@ -415,8 +402,8 @@ def resampled_source_entropy(dest: int, sources, view: EmbeddedView,
     if kind.method == "discrete-plugin":
         wd, n_wd = view.symbol_ids("history", dest)
         z, n_z = view.symbol_ids("next", dest)
-        dz, n_dz = _dense(wd * n_z + z)
-        src, n_src = _dense(_selection_ids(view, [history(s) for s in sources])[0])
+        dz, n_dz = dense_ids(wd * n_z + z, n_wd * n_z)
+        src, n_src = dense_ids(*_selection_ids(view, [history(s) for s in sources]))
         wd_base, dz_base = wd * n_src, dz * n_src
         log2 = _log2_table(view.rows)
 

@@ -14,7 +14,9 @@ from netinfer.estimators import (
     _BINCOUNT_CAP,
     _BOX_BLOCK,
     _box_counts,
+    _box_pairs,
     _log2_table,
+    _pair_counts,
     box_cond_entropy,
 )
 
@@ -120,6 +122,27 @@ def test_discrete_kernel_sort_fallback_bit_identical():
     assert len(np.unique(joint, axis=0)) > _BINCOUNT_CAP
     got = ni.conditional_entropy(next_value(0), conds, view, DISCRETE)
     assert got == reference_conditional_entropy([next_value(0)], conds, view)
+
+
+def test_discrete_greedy_tee_sorts_no_ids_under_the_cap(monkeypatch):
+    # every id space of this run stays within _BINCOUNT_CAP, so each id is
+    # ranked from a presence table and counted by np.bincount, never sorted
+    def search():
+        view = random_discrete_view(3, 2000, 4, seed=62, kappa=2)
+        scorer = ni.Scorer(view, "tee", DISCRETE,
+                           surrogates=ni.SurrogateConfig(19, seed=0))
+        return ni.greedy_hill_climb(scorer, ni.SearchConfig(seed=0, restarts=2))
+
+    sorted_run = search()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called under the cap")
+    monkeypatch.setattr(np, "unique", refuse)
+    ranked_run = search()
+    assert ranked_run.best.parents == sorted_run.best.parents
+    assert ranked_run.best_report.to_dict() == sorted_run.best_report.to_dict()
+    assert ranked_run.trace == sorted_run.trace
+    assert ranked_run.visited == sorted_run.visited
 
 
 def test_log2_table_matches_np_log2_bit_for_bit():
@@ -328,6 +351,26 @@ def test_box_counts_memory_bounded_by_block():
         tracemalloc.stop()
     assert np.all(cw == 1499) and np.all(czw == 1499)
     assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("kept", ["rest-keeps-none", "target-keeps-none", "every"])
+def test_pair_counts_keep_none_or_every_pair(kept):
+    # a stage whose filter keeps no pair gathers empty int32 row ids and
+    # counts nothing; one that keeps every pair counts them all
+    rng = np.random.default_rng(28)
+    first = rng.random((300, 1))
+    far = np.arange(300.0)[:, None]  # every pair 1.0 or more apart
+    near = np.zeros((300, 1))        # every pair 0.0 apart
+    rest, z = {"rest-keeps-none": (far, near), "target-keeps-none": (near, far),
+               "every": (near, near)}[kept]
+    cw, czw = _pair_counts(_box_pairs(first, 0.2), rest, z, 0.2, 300)
+    w = np.hstack([first, rest])
+    assert np.array_equal(cw, brute_box_counts(w, 0.2))
+    assert np.array_equal(czw, brute_box_counts(np.hstack([w, z]), 0.2))
+    if kept == "every":
+        assert np.array_equal(czw, brute_box_counts(first, 0.2))
+    else:
+        assert not czw.any() and cw.any() == (kept == "target-keeps-none")
 
 
 # the pairs a view keeps: every box entropy of one first conditioner block

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import netinfer as ni
 from netinfer.errors import DataFormatError, ValidationError
-from netinfer.timeseries import csv_text
+from netinfer.timeseries import _BINCOUNT_CAP, csv_text, dense_ids
 
 from conftest import reference_csv_text, reference_load_csv
 
@@ -303,6 +303,81 @@ def test_view_rejects_out_of_range_subsystem(subsystem):
                  lambda s: view.symbol_ids("next", s)):
         with pytest.raises(ValidationError, match="out of range"):
             read(subsystem)
+
+
+# ---------------------------------------------------------------------------
+# dense row ids
+
+def _block_view(block):
+    """A one-subsystem view whose history is ``block`` and whose next value
+    is its first column."""
+    block = np.array(block, dtype=np.int64)
+    return ni.EmbeddedView(names=("a",), targets=block[:, :1].copy(),
+                           histories=(block,), rows=len(block), discrete=True)
+
+
+def _assert_ids_match_unique(block):
+    view = _block_view(block)
+    for role, rows in (("history", view.history(0)), ("next", view.target(0))):
+        ids, k = view.symbol_ids(role, 0)
+        uniq, want = np.unique(rows, axis=0, return_inverse=True)
+        assert k == len(uniq)
+        assert ids.ndim == 1 and not ids.flags.writeable
+        assert ids.dtype == want.dtype
+        assert np.array_equal(ids, want.reshape(-1))
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3, 4])
+def test_symbol_ids_match_np_unique_rows(kappa):
+    # negative values and duplicated rows, on spans that differ by column
+    rng = np.random.default_rng(40 + kappa)
+    block = rng.integers(-7, 4, size=(300, kappa)) * np.arange(1, kappa + 1)
+    block = block[rng.integers(0, 300, size=300)]
+    assert len(np.unique(block, axis=0)) < len(block)
+    _assert_ids_match_unique(block)
+
+
+@pytest.mark.parametrize("kappa", [1, 3])
+def test_symbol_ids_of_one_row(kappa):
+    _assert_ids_match_unique(np.full((1, kappa), -5))
+
+
+@pytest.mark.parametrize("top, ranked", [(255, True), (256, False)],
+                         ids=["at-cap", "past-cap"])
+def test_symbol_ids_either_side_of_the_cap(monkeypatch, top, ranked):
+    # column spans 512 x 512 give exactly _BINCOUNT_CAP codes, which are
+    # ranked from a presence table; 512 x 513 passes the cap and is sorted
+    rng = np.random.default_rng(44)
+    block = rng.integers(-256, 256, size=(3000, 2))
+    block[0], block[1] = (-256, -256), (255, top)
+    assert (512 * (top + 257) <= _BINCOUNT_CAP) == ranked
+    if ranked:
+        uniq, want = np.unique(block, axis=0, return_inverse=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called")
+        monkeypatch.setattr(np, "unique", refuse)
+        ids, k = _block_view(block).symbol_ids("history", 0)
+        assert k == len(uniq) and np.array_equal(ids, want.reshape(-1))
+    else:
+        _assert_ids_match_unique(block)
+
+
+def test_symbol_ids_past_int64_sort_the_rows():
+    # spans whose product passes int64 fall back to sorting whole rows
+    big = np.iinfo(np.int64).max
+    _assert_ids_match_unique([[0, -big], [big, big], [0, -big], [5, 0]])
+
+
+@pytest.mark.parametrize("space", [1, 2, _BINCOUNT_CAP, _BINCOUNT_CAP + 1])
+def test_dense_ids_match_np_unique(space):
+    rng = np.random.default_rng(space)
+    code = rng.integers(0, space, size=5000)
+    code[:2] = (0, space - 1)
+    ids, k = dense_ids(code, space)
+    uniq, want = np.unique(code, return_inverse=True)
+    assert k == len(uniq)
+    assert ids.dtype == want.dtype and np.array_equal(ids, want)
 
 
 def test_embedding_spec_validation():
