@@ -23,8 +23,7 @@ Three interchangeable density models back every measure here:
 
 All values are in bits. A view memoises its dense row ids, its kept
 neighbour pairs and every conditional entropy computed on it, without a
-lock, so a view, and the ``Scorer`` that holds it, serves one thread; the
-surrogate pool only reorders and counts arrays prepared before it starts.
+lock, so a view, and the ``Scorer`` that holds it, serves one thread.
 """
 
 from __future__ import annotations
@@ -291,8 +290,7 @@ def box_cond_entropy(z: np.ndarray, w: np.ndarray, width: float) -> float:
 def _kept_pairs(view: EmbeddedView, sel: Selection, width: float):
     """The neighbour-pair chunks of one column block (see :func:`_box_pairs`),
     found once and kept on the view, or None when keeping them would take
-    the view's kept pairs past ``_KEPT_PAIRS``. Kept chunks are only read,
-    so any thread may count from them."""
+    the view's kept pairs past ``_KEPT_PAIRS``. Kept chunks are only read."""
     key = ("box-pairs", width, sel)
     if key not in view._memo:
         room = _KEPT_PAIRS - sum(len(i) for k, found in view._memo.items()

@@ -3,9 +3,7 @@
 Every score is a sum over vertices of a local term that depends only on
 the vertex and its parent set, which is what makes incremental search
 cheap. A ``Scorer`` bundles one dataset view with one score configuration
-and memoizes local terms without a lock, so it serves one thread: the
-search thread. The surrogate pool runs inside a single local score and
-never touches the memo.
+and memoizes local terms without a lock, so it serves one thread.
 
 Score kinds
 -----------
@@ -26,8 +24,9 @@ ints first. A miss checks it with :func:`graph.check_parents`.
 ``Scorer.local_bound`` is an upper bound of a local for the greedy climb's
 pruning, and draws no surrogate. ``Scorer.draw_chunk``, the only method that
 draws part of a population, tightens it for a ``tee`` local: it draws the
-next chunk of the local's surrogate population, kept as floats until the
-population is complete, and a complete population gives the exact local.
+next chunk of the local's surrogate population, kept as floats with the
+local's ``te`` until the population is complete, so a bound after a chunk
+looks up no entropy, and a complete population gives the exact local.
 Before the first chunk a discrete-plugin ``tee`` local is bounded by ``te``
 plus a proved slack, and a linear-Gaussian or box-kernel one by ``inf``.
 """
@@ -190,8 +189,9 @@ class Scorer:
         self.alpha = alpha if score_kind in ("tea", "tee") else None
         self.surrogates = surrogates if score_kind == "tee" else None
         self.cache = LocalScoreCache()
-        # partial tee populations: (vertex, parents) -> the values drawn so
-        # far, in draw order, until local() completes and memoises them
+        # partial tee populations: (vertex, parents) -> (te, the values
+        # drawn so far in draw order), until local() completes and memoises
+        # them
         self._drawn: dict = {}
         if self.surrogates is not None:
             # the quantile is the first_chunk-th largest of the population
@@ -209,6 +209,10 @@ class Scorer:
         conds = [history(vertex)] + [history(p) for p in parents]
         return conditional_entropy(next_value(vertex), conds,
                                    self.view, self.estimator)
+
+    def _te(self, vertex: int, parents: tuple[int, ...]) -> float:
+        """Transfer entropy from a vertex's parents to it, in bits."""
+        return self._entropy(vertex) - self._entropy(vertex, parents)
 
     def _tea_penalty(self, vertex: int, parents: tuple[int, ...]) -> float:
         view = self.view
@@ -284,12 +288,12 @@ class Scorer:
         vertex, parents = key
         if self.score_kind != "tee" or not parents:
             return self.local(vertex, parents).local
-        drawn = self._drawn.get(key)
-        if drawn is None and self.estimator.method != "discrete-plugin":
-            return math.inf
-        te = self._entropy(vertex) - self._entropy(vertex, parents)
-        if drawn is None:
-            return te + _BOUND_SLACK
+        partial = self._drawn.get(key)
+        if partial is None:
+            if self.estimator.method != "discrete-plugin":
+                return math.inf
+            return self._te(vertex, parents) + _BOUND_SLACK
+        te, drawn = partial
         return te - sorted(drawn)[-self._first_chunk]
 
     def draw_chunk(self, vertex: int, parents: Sequence[int]) -> bool:
@@ -305,12 +309,13 @@ class Scorer:
         vertex, parents = key
         if found is not None or not parents:
             return False
-        drawn = self._drawn.get(key, [])
-        stop = 2 * len(drawn) if drawn else self._first_chunk
+        partial = self._drawn.get(key)
+        stop = 2 * len(partial[1]) if partial else self._first_chunk
         if stop >= self.surrogates.count:
             self.local(vertex, parents)
         else:
-            self._drawn[key] = drawn + draw_surrogates(
+            te, drawn = partial or (self._te(vertex, parents), [])
+            self._drawn[key] = te, drawn + draw_surrogates(
                 vertex, parents, self.view, self.estimator,
                 self._plan(vertex, parents), len(drawn), stop)
         return True
@@ -331,7 +336,9 @@ class Scorer:
 
         if not parents:
             return LocalScore(te=0.0, penalty=0.0, local=0.0)
-        te = self._entropy(vertex) - self._entropy(vertex, parents)
+        key = (vertex, parents)
+        # a partial tee population keeps its te with the values drawn so far
+        te, drawn = self._drawn.get(key) or (self._te(vertex, parents), ())
         if kind == "te":
             return LocalScore(te=te, penalty=0.0, local=te)
         if kind == "tea":
@@ -340,10 +347,9 @@ class Scorer:
             return LocalScore(te=te, penalty=penalty, local=stat - penalty)
         # tee: deterministic surrogate population per (vertex, parent set),
         # completed from the values draw_chunk has drawn
-        key = (vertex, parents)
         samples = surrogate_te_samples(
             vertex, parents, self.view, self.estimator,
-            self._plan(vertex, parents), drawn=self._drawn.get(key, ()))
+            self._plan(vertex, parents), drawn=drawn)
         self._drawn.pop(key, None)
         quantile = empirical_quantile(samples, self.alpha)
         return LocalScore(te=te, penalty=quantile, local=te - quantile)

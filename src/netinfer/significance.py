@@ -23,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._threads import parallel_map
 from .errors import NumericError, ValidationError, check_int, check_number
 from .estimators import EstimatorKind, resampled_source_entropy
 from .graph import check_parents
@@ -31,6 +30,14 @@ from .timeseries import EmbeddedView
 
 _DF_LIMIT = 2 ** 63 - 1
 LN2 = math.log(2.0)
+
+# Each tee local draws a population of this many surrogates at most. Drawn
+# on the calling thread, a discrete-plugin surrogate took 0.28-0.40 ms on
+# the M=5 benchmark tree (N=10000, 8 bins) and a box-kernel one 3.7-4.5 ms
+# on the M=3 benchmark chain (N=3000, width 0.08), on a 2-vCPU Xeon VM. So
+# one population of this many takes from about 30 s to 7.5 minutes there; a
+# larger count is refused at once rather than run for hours or days.
+MAX_SURROGATES = 100_000
 
 
 def check_alpha(alpha: float):
@@ -58,7 +65,8 @@ class SurrogateConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "count", check_int("surrogate count", self.count, 1))
+        object.__setattr__(self, "count", check_int("surrogate count", self.count,
+                                                    1, MAX_SURROGATES))
         if self.method not in ("permutation", "bootstrap"):
             raise ValidationError(f"unknown surrogate method {self.method!r}")
         object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
@@ -141,12 +149,11 @@ def draw_surrogates(dest: int, sources, view: EmbeddedView, kind: EstimatorKind,
     if start >= stop:
         return []
     h_self, block, h_full = resampled_source_entropy(dest, sources, view, kind)
-
-    def one(i: int) -> float:
+    values = []
+    for i in range(start, stop):
         rng = np.random.default_rng(derive_seed(cfg.seed, i))
-        return h_self - h_full(resample_rows(block, cfg.method, rng))
-
-    return parallel_map(one, range(start, stop))
+        values.append(h_self - h_full(resample_rows(block, cfg.method, rng)))
+    return values
 
 
 def surrogate_te_samples(dest: int, sources, view: EmbeddedView,

@@ -23,8 +23,8 @@ from .graph import check_names
 
 # Id spaces up to this size are counted with np.bincount and ranked from a
 # presence table, one table entry per id (2 MB for an int64 table at the
-# cap); larger ones are sorted instead. Each pooled surrogate holds one table
-# at a time. On greedy tee search (M=5, N=10000, 8 bins) some populations
+# cap); larger ones are sorted instead. A surrogate draw holds one table at
+# a time. On greedy tee search (M=5, N=10000, 8 bins) some populations
 # join 66k-135k ids; on a 135k-id join (2 vCPUs, one thread) 2**18 took
 # 0.40 ms per surrogate against 0.74-0.83 ms at 2**16, and the population's
 # traced peak rose from 1.2 to 1.7 MB. Ranking 9,998 ids of a 318-id space

@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netinfer as ni
+from netinfer import cli
 from netinfer.cli import main
 from netinfer.search import MAX_RESTARTS
+from netinfer.significance import MAX_SURROGATES
 
 from conftest import cli_env
 
@@ -681,9 +683,13 @@ def test_cyclic_graph_exits_1_with_one_line(tmp_path, simulated, capsys, command
     # rejected before any of the 10**20 bin edges is built
     (["--bins", "99999999999999999999"], 1,
      "bins for subsystem 'V1' must be at most the series length 2000"),
-    # the first population asks for a list of 10**11 draws (800 GB)
-    (["--bins", "2", "--surrogates", "100000000000"], 2, "out of memory"),
-], ids=["bins", "surrogates"])
+    # refused before any draw: drawn one after another, 10**11 surrogates
+    # would run for years and 10**7 for hours
+    (["--bins", "2", "--surrogates", "100000000000"], 1,
+     f"surrogate count must be <= {MAX_SURROGATES}, got 100000000000"),
+    (["--bins", "2", "--surrogates", "10000000"], 1,
+     f"surrogate count must be <= {MAX_SURROGATES}, got 10000000"),
+], ids=["bins", "surrogates", "surrogates-ten-million"])
 def test_count_beyond_reach_exits_with_one_line(tmp_path, simulated, flags,
                                                 code, says):
     out = tmp_path / "out"
@@ -695,6 +701,23 @@ def test_count_beyond_reach_exits_with_one_line(tmp_path, simulated, flags,
     )
     assert proc.returncode == code
     assert proc.stderr.count("\n") == 1 and says in proc.stderr, proc.stderr
+    assert not out.exists()
+
+
+def test_memory_error_exits_2_with_one_line(tmp_path, simulated, capsys,
+                                            monkeypatch):
+    # no count reaches the MemoryError handler any more, so a step of infer
+    # is made to fail as an allocation past memory would
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "delay_embed", exhausted)
+    out = tmp_path / "out"
+    assert main(["infer", "--data", str(simulated / "data.csv"),
+                 "--out-dir", str(out), "--score", "tea", "--bins", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: out of memory (a size or count is too "
+                            "large to allocate)\n")
+    assert captured.out == ""
     assert not out.exists()
 
 

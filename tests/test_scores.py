@@ -382,6 +382,30 @@ def test_tee_bound_then_local_computes_each_entropy_once(monkeypatch):
     assert counts == [2, 2]  # the own entropy and the full one
 
 
+@pytest.mark.parametrize("estimator", [DISCRETE, ni.EstimatorKind.box_kernel(0.3)],
+                         ids=["discrete", "box-kernel"])
+def test_tee_bounds_after_a_chunk_look_up_no_entropy(monkeypatch, estimator):
+    # a partial population keeps its te with its values, so neither the
+    # bounds between chunks nor the completed local look up an entropy
+    view = (random_discrete_view(3, 400, 3, seed=6) if estimator is DISCRETE
+            else _real_view(6))
+    cfg = _tee_cfg(seed=5, count=199)
+    exact = ni.Scorer(view, "tee", estimator, surrogates=cfg).local(1, (0, 2))
+    sc = ni.Scorer(view, "tee", estimator, surrogates=cfg)
+    calls = []
+    real = ni.scores.conditional_entropy
+    monkeypatch.setattr(ni.scores, "conditional_entropy",
+                        lambda *args: calls.append(args) or real(*args))
+    assert sc.draw_chunk(1, (0, 2))
+    assert len(calls) == 2  # the te: the own entropy and the full one
+    bounds = [sc.local_bound(1, (0, 2))]
+    while sc.draw_chunk(1, (0, 2)):
+        bounds.append(sc.local_bound(1, (0, 2)))
+    assert len(bounds) == 6  # chunks of 10, 20, 40, 80 and 160, then all 199
+    assert sc.local(1, (0, 2)) == exact
+    assert len(calls) == 2
+
+
 def _real_view(seed):
     series = np.random.default_rng(seed).normal(size=(3, 300))
     return ni.delay_embed(ni.TimeSeriesSet(series, ("a", "b", "c")),
@@ -449,7 +473,7 @@ def test_draw_chunk_tightens_the_bound_to_the_exact_local(estimator, count, alph
     first = count - ni.significance.quantile_rank(alpha, count) + 1
 
     def drawn():
-        values = sc._drawn.get((1, (0, 2)), [])
+        _, values = sc._drawn.get((1, (0, 2)), (exact.te, []))
         assert all(isinstance(x, float) for x in values)  # floats only
         return len(values)
 

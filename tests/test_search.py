@@ -146,14 +146,16 @@ def test_candidate_moves_respect_acyclicity_and_cap():
 
 
 @pytest.mark.parametrize("max_parents", [None, 1, 2])
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", [*range(1, 7), 10, 20])
 def test_candidate_moves_match_reference_moves(m, max_parents):
     # every legal move, in the climb's order, each with the graph the
-    # validating constructor builds from its edges
+    # validating constructor builds from its edges; fewer graphs at M >= 10,
+    # where the oracle's per-move cycle checks grow costly
     rng = np.random.default_rng(100 + m)
+    probs, repeats = (((0.2, 0.4, 0.6, 0.8, 1.0), 4) if m <= 6
+                      else ((0.1, 0.2, 0.4), 1))
     graphs = [ni.Dag.empty(m)] + [random_dag(m, rng, edge_prob=p)
-                                  for p in (0.2, 0.4, 0.6, 0.8, 1.0)
-                                  for _ in range(4)]
+                                  for p in probs for _ in range(repeats)]
     for g in graphs:
         moves = _candidate_moves(g, max_parents)
         expected = reference_moves(g, max_parents)

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from scipy.special import gammainc
 import netinfer as ni
 from netinfer.errors import NumericError, ValidationError
 from netinfer.significance import (
+    MAX_SURROGATES,
     derive_seed,
     draw_surrogates,
     gaussian_te_degrees_of_freedom,
@@ -213,45 +213,17 @@ def test_surrogates_bincount_above_old_cap_bit_identical(method):
     assert got == reference_surrogate_te_samples(0, (1, 2), view, cfg)
 
 
-def test_surrogates_independent_of_thread_count(monkeypatch):
-    view = random_discrete_view(3, 2000, 8, seed=9, kappa=2)
-    cfg = ni.SurrogateConfig(count=40, seed=5)
-    runs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("NETINFER_THREADS", threads)
-        runs.append(ni.surrogate_te_samples(2, (0, 1), view, DISCRETE, cfg))
-    assert runs[0] == runs[1]
-
-
 @pytest.mark.parametrize("method", ["permutation", "bootstrap"])
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_box_surrogates_bit_identical_to_reference(monkeypatch, method, threads):
+def test_box_surrogates_bit_identical_to_reference(method):
     out = simulate_chain(3, seed=31, n=500)
     view = ni.delay_embed(out.observations, ni.EmbeddingSpec.uniform(3, 1, 2))
     cfg = ni.SurrogateConfig(count=6, method=method, seed=8)
-    monkeypatch.setenv("NETINFER_THREADS", threads)
     for sources in ((0,), (0, 2)):
         got = ni.surrogate_te_samples(1, sources, view,
                                       ni.EstimatorKind.box_kernel(0.1), cfg)
         assert got == reference_box_surrogate_te_samples(1, sources, view, 0.1, cfg)
-
-
-def test_box_surrogates_share_kept_pairs_across_many_threads(monkeypatch):
-    # every pool worker counts from the same kept pair chunks; more workers
-    # than cores and a short switch interval interleave them finely
-    out = simulate_chain(3, seed=33, n=400)
-    view = ni.delay_embed(out.observations, ni.EmbeddingSpec.uniform(3, 1, 2))
-    cfg = ni.SurrogateConfig(count=24, method="bootstrap", seed=9)
-    monkeypatch.setenv("NETINFER_THREADS", "8")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        got = ni.surrogate_te_samples(1, (0, 2), view,
-                                      ni.EstimatorKind.box_kernel(0.1), cfg)
-    finally:
-        sys.setswitchinterval(interval)
+    # every surrogate counted from the destination history's kept pairs
     assert view._memo[("box-pairs", 0.1, history(1))] is not None
-    assert got == reference_box_surrogate_te_samples(1, (0, 2), view, 0.1, cfg)
 
 
 def _prefix_case(estimator):
@@ -370,6 +342,13 @@ def test_quantile_empty_rejected():
 def test_negative_seed_rejected():
     with pytest.raises(ValidationError, match="seed"):
         ni.SurrogateConfig(count=19, seed=-1)
+
+
+def test_surrogate_count_bounded():
+    assert ni.SurrogateConfig(count=MAX_SURROGATES).count == MAX_SURROGATES
+    with pytest.raises(ValidationError,
+                       match=f"surrogate count must be <= {MAX_SURROGATES}"):
+        ni.SurrogateConfig(count=MAX_SURROGATES + 1)
 
 
 @settings(deadline=None, max_examples=60)
