@@ -7,12 +7,17 @@ KL divergence and :func:`compare_graphs` take any ``Dag`` as it is. It has
 no edge-editing methods: a new graph is built from its parent sets, as the
 greedy search does with the sets a move changes, and
 :func:`creates_cycle` answers whether an edge may be added.
+
+:func:`_reach` is the one reachability walk: a validated graph keeps each
+vertex's reach for its cycle check and :func:`creates_cycle`, and a graph
+from :func:`enumerate_dags` walks it only when asked.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DataFormatError, ValidationError
@@ -58,10 +63,18 @@ class Dag:
         norm = tuple(tuple(sorted(ps)) for ps in self.parents)
         for v, ps in enumerate(norm):
             check_parents(v, ps, self.m)
-        masks = [sum(1 << p for p in ps) for ps in norm]
-        if any(_reach(masks, v) & masks[v] for v in range(self.m)):
-            raise ValidationError("graph has a cycle; coupling graphs must be acyclic")
         object.__setattr__(self, "parents", norm)
+        # a cycle exists iff some vertex reaches one of its own parents
+        reach = self._descendants
+        if any(reach[v] >> p & 1 for v, ps in enumerate(norm) for p in ps):
+            raise ValidationError("graph has a cycle; coupling graphs must be acyclic")
+
+    @cached_property
+    def _descendants(self) -> tuple[int, ...]:
+        """Bit mask of the vertices each vertex reaches, itself included,
+        filled on first use: by the validating constructor, if it ran."""
+        masks = [sum(1 << p for p in ps) for ps in self.parents]
+        return tuple(_reach(masks, v) for v in range(self.m))
 
     @classmethod
     def _canonical(cls, m: int, parents: tuple[tuple[int, ...], ...]) -> "Dag":
@@ -116,9 +129,9 @@ def _reach(parent_masks: Sequence[int], start: int) -> int:
 
 def creates_cycle(graph: Dag, src: int, dst: int) -> bool:
     """Would adding src->dst to an acyclic graph close a cycle, i.e. does
-    dst reach src (src == dst included)?"""
-    masks = [sum(1 << p for p in ps) for ps in graph.parents]
-    return bool(_reach(masks, dst) >> src & 1)
+    dst reach src (src == dst included)? One bit test on the reach the
+    graph keeps, so no call walks the graph."""
+    return bool(graph._descendants[dst] >> src & 1)
 
 
 def enumerate_dags(m: int) -> Iterator[Dag]:

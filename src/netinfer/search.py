@@ -5,9 +5,10 @@ whose score lies within ``_TIE_EPS`` of the largest, it returns the one whose
 graph has the smallest sorted edge tuple. The result therefore does not
 depend on the order in which candidates are enumerated or evaluated.
 
-Exhaustive search, over every DAG, and hill climbing, over the local optima
-of its restarts, stream their candidates through one :class:`_TieWindow`,
-which keeps only those within ``_TIE_EPS`` of the running maximum.
+Exhaustive search, over every DAG, each greedy step, over its moves, and
+hill climbing, over the local optima of its restarts, stream their
+candidates through one :class:`_TieWindow`, which keeps only those within
+``_TIE_EPS`` of the running maximum.
 Exhaustive search sums memoized local scores over every DAG that
 :func:`graph.enumerate_dags` yields and builds a graph's edge tuple only
 when the window admits its total.
@@ -23,9 +24,11 @@ A move is the parent sets it changes: its trace label, such as
 (for a reversal of src->dst, dst's and then src's). Bounds, chunks, deltas
 and the graph it leads to all read that one form, so each step costs a
 handful of memoized local scores whose keys the memo holds as they stand.
-Legality comes from :func:`graph.creates_cycle` without building graphs:
-an add src->dst is legal iff dst does not reach src, and reversing src->dst
-iff src reaches no other parent of dst.
+Legality is read by :func:`graph.creates_cycle` off the reach the current
+graph kept when it was built, one bit test per check: an add src->dst is
+legal iff dst does not reach src, and reversing src->dst iff src reaches no
+other parent of dst. Only a positive move the step's window admits builds
+the graph it leads to, and the picked one is the next step's graph.
 
 Each step is lazy (Minoux's lazy greedy): it bounds every candidate's delta
 with :func:`move_bound` and keeps the moves in a max-heap by bound. It pops
@@ -199,22 +202,22 @@ def move_bound(scorer: Scorer, graph: Dag, move) -> float:
 
 def _step(scorer: Scorer, graph: Dag, moves):
     """The rule's pick among the moves with a positive delta, as
-    (delta, edges after, move), or None.
+    (delta, edges after, move, graph after), or None.
 
     A max-heap holds each move's current bound. Each round pops the largest;
     the walk stops once it is <= 0, where no move left can be positive, or
-    below top - _TIE_EPS, with top the largest delta so far, where no move
-    left lies in the rule's tie window. Otherwise the popped move draws the
+    once the tie window of the positive deltas so far no longer admits it,
+    where no move left can be picked. Otherwise the popped move draws the
     next chunk of each population it touches and goes back with its
-    tightened bound, or, with nothing left to draw, gets its exact delta.
+    tightened bound, or, with nothing left to draw, gets its exact delta;
+    only a positive delta the window admits builds the graph it leads to.
     """
     heap = [(-move_bound(scorer, graph, move), i) for i, move in enumerate(moves)]
     heapq.heapify(heap)
-    top = -np.inf
-    candidates = []
+    window = _TieWindow()
     while heap:
         negated, i = heapq.heappop(heap)
-        if -negated <= 0.0 or -negated < top - _TIE_EPS:
+        if -negated <= 0.0 or not window.admits(-negated):
             break
         move = moves[i]
         # a list, not a generator: every touched population draws its chunk
@@ -222,10 +225,10 @@ def _step(scorer: Scorer, graph: Dag, moves):
             heapq.heappush(heap, (-move_bound(scorer, graph, move), i))
             continue
         delta = move_delta(scorer, graph, move)
-        top = max(top, delta)
-        if delta > 0.0:
-            candidates.append((delta, _apply(graph, move).edges(), move))
-    return _pick(candidates) if candidates else None
+        if delta > 0.0 and window.admits(delta):
+            after = _apply(graph, move)
+            window.add((delta, after.edges(), move, after))
+    return _pick(window.kept) if window.kept else None
 
 
 def _climb(scorer: Scorer, start: Dag, max_parents: Optional[int]):
@@ -239,8 +242,7 @@ def _climb(scorer: Scorer, start: Dag, max_parents: Optional[int]):
         step = _step(scorer, graph, moves)
         if step is None:
             return graph, total, trace, visited
-        delta, _, move = step
-        graph = _apply(graph, move)
+        delta, _, move, graph = step
         total += delta
         trace.append((move[0], delta))
 

@@ -73,6 +73,14 @@ def test_enumerate_matches_reference_order(m):
     for g in graphs:
         validated = ni.Dag(m, g.parents)
         assert g == validated and hash(g) == hash(validated)
+        if m <= 4:
+            # an enumerated graph walks its reach on the first ask, which
+            # leaves its equality and hash as they were
+            for src in range(m):
+                for dst in range(m):
+                    assert creates_cycle(g, src, dst) == (
+                        src == dst or reference_reaches(g.parents, dst, src))
+            assert g == validated and hash(g) == hash(validated)
 
 
 def test_cycle_checks_match_reference_walks():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import netinfer as ni
-from netinfer import estimators, scores, search, significance
+from netinfer import estimators, graph, scores, search, significance
 from netinfer.errors import ValidationError
 from netinfer.graph import random_dag
 from netinfer.scores import LocalScore
@@ -146,11 +146,11 @@ def test_candidate_moves_respect_acyclicity_and_cap():
 
 
 @pytest.mark.parametrize("max_parents", [None, 1, 2])
-@pytest.mark.parametrize("m", [*range(1, 7), 10, 20])
+@pytest.mark.parametrize("m", [*range(1, 7), 10, 20, 30])
 def test_candidate_moves_match_reference_moves(m, max_parents):
     # every legal move, in the climb's order, each with the graph the
     # validating constructor builds from its edges; fewer graphs at M >= 10,
-    # where the oracle's per-move cycle checks grow costly
+    # where the oracle's per-move graphs grow costly
     rng = np.random.default_rng(100 + m)
     probs, repeats = (((0.2, 0.4, 0.6, 0.8, 1.0), 4) if m <= 6
                       else ((0.1, 0.2, 0.4), 1))
@@ -164,6 +164,37 @@ def test_candidate_moves_match_reference_moves(m, max_parents):
         for _, changes in moves:
             # sorted parent tuples: the memo's stored keys as they stand
             assert all(new == tuple(sorted(new)) for _, new in changes)
+
+
+def _counted(fn, calls):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("m", [10, 20])
+def test_candidate_moves_walk_no_reach(monkeypatch, m):
+    # the validating constructor keeps each vertex's reach, and every
+    # legality check reads a bit of it; a walk per check made 86 walks for
+    # one listing at M=10 and 437 at M=20
+    g = random_dag(m, np.random.default_rng(100 + m), edge_prob=0.2)
+    walks = []
+    monkeypatch.setattr(graph, "_reach", _counted(graph._reach, walks))
+    for max_parents in (None, 1, 3):
+        assert _candidate_moves(g, max_parents)
+    assert walks == []
+
+
+def test_climb_builds_one_graph_per_step(monkeypatch):
+    # a tea bound is its exact delta, so on a climb with no tie the step's
+    # window admits one move, whose graph is built once and climbed to
+    applied = []
+    monkeypatch.setattr(search, "_apply", _counted(_apply, applied))
+    sc = ni.Scorer(_SEARCH_VIEWS["chain5"](), "tea", DISCRETE)
+    result = greedy_hill_climb(sc, SearchConfig(seed=0))
+    assert len(result.trace) >= 3
+    assert len(applied) == len(result.trace)
 
 
 def test_move_delta_matches_full_recompute_fuzz():
