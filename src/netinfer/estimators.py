@@ -17,9 +17,9 @@ Three interchangeable density models back every measure here:
   one count). Both counts of H(Z|W) come from one pass over the neighbour
   pairs of W's first column block, found in dense tiles over rows sorted
   by its first coordinate and filtered by W's other columns and by Z. A
-  view keeps each first block's pairs, up to a cap, so every entropy
-  conditioned on a destination's own past, its surrogates included,
-  counts from pairs found once.
+  view keeps each first block's pairs as neighbour lists, within a byte
+  budget, so every entropy conditioned on a destination's own past, its
+  surrogates included, counts from pairs found once.
 
 All values are in bits. A view memoises its dense row ids, its kept
 neighbour pairs and every conditional entropy computed on it, without a
@@ -180,82 +180,99 @@ def gaussian_cond_entropy(z: np.ndarray, w: np.ndarray) -> float:
     return 0.5 * (dz * math.log2(_TWO_PI_E) + logabsdet / math.log(2.0))
 
 
-# Rows sorted by their first coordinate are cut into blocks of this many, and
-# each block is compared with the rows after it in dense tiles of
-# _BOX_BLOCK x _BOX_TILE distances, so a tile yields at most 64k pairs and a
-# pass that keeps none peaks near 3 MB, whatever the width. In one serial
-# box-kernel tee infer (M=3, N=3000, width 0.08, 19 surrogates, 2 vCPUs)
-# 128 x 512 tiles took 0.36-0.38 s, against 0.38-0.42 s for 128 x 256,
-# 0.38-0.41 s for 128 x 1024, 0.40-0.45 s for 256 x 512 and 0.42-0.50 s for
-# 64 x 512.
+# Sorted rows are compared in blocks of at most _BOX_BLOCK rows, fewer where
+# they reach further, in tiles of at most _BOX_TILE distances (64k pairs; a
+# pass that keeps none peaks near 3 MB whatever the width). On the box-tee-m3
+# data, 64 or 256 rows and 32k to 128k distances were no faster.
 _BOX_BLOCK = 128
-_BOX_TILE = 4 * _BOX_BLOCK
+_BOX_TILE = 512 * _BOX_BLOCK
 
-# A view keeps the neighbour pairs of its conditioners' first blocks while
-# their total stays within this many (8 bytes each as two int32 row ids,
-# 16 MB at the cap); past it, each entropy finds the pairs of its whole
-# conditioning space afresh. The box-tee-m3 benchmark (N=3000, width 0.08)
-# keeps 973k pairs over its three destinations. At width 0.25 the same data
-# has 4.0M: with this cap one destination's are kept and an infer took
-# 3.6 s and peaked at 57 MB; keeping all of them took 2.6 s but 74 MB.
-_KEPT_PAIRS = 2 ** 21
+# A view keeps its conditioners' first blocks' neighbour lists while their
+# arrays' nbytes stay within this budget; past it, each entropy finds the
+# pairs of its whole conditioning space afresh. The box-tee-m3 benchmark
+# (N=3000, width 0.08) keeps 972k pairs in 2.1 MB. At width 0.25 its 4.0M
+# take 8.1 MB, and an infer took 1.7-2.0 s at 49 MB; 8-byte pairs kept one
+# destination's under the same budget and took 3.8-4.3 s at 56 MB.
+_KEPT_BYTES = 16 * 2 ** 20
+
+# Kept pairs are counted in row ranges of about this many: a box-tee-m3 infer
+# took 0.17 s with these, 0.20 s with 16k.
+_PAIR_CHUNK = 2 ** 15
 
 
-def _box_pairs(x: np.ndarray, width: float):
+def _reach(x0: np.ndarray, e: int, width: float) -> int:
+    """One past the last row whose x0 lies within ``width`` of ``x0[e - 1]``."""
+    return e + int(np.searchsorted(x0[e:] - x0[e - 1], width, side="right"))
+
+
+def _box_pairs(x: np.ndarray, order: np.ndarray, width: float):
     """Yield every pair of rows of ``x`` within max-norm distance ``width``
-    as two int32 arrays ``(i, j)`` of row ids, ``i < j``, one chunk per tile.
+    as positions ``(p, q)``, ``p < q``, in ``order`` (the rows stably sorted
+    by their first coordinate x0), in the narrowest unsigned dtype that
+    holds n - 1: one chunk per tile, in order of ``p``, then ``q``.
 
-    Rows are sorted by their first coordinate x0, stably, and cut into
-    blocks; each block is compared with the rows from its own start up to
+    Each block of rows is compared with the rows from its own start up to
     the last whose x0 lies within ``width`` of the block's last x0, by the
     same predicate ``np.abs(a - b) <= width`` on every column as a brute
     force. Floating-point subtraction is monotone, so that stop never drops
     a pair the max-norm admits, and the pairs are exact.
     """
-    n = x.shape[0]
-    order = np.argsort(x[:, 0], kind="stable")
-    xs = x[order]
-    x0 = xs[:, 0]
-    rows = order.astype(np.int32)
-    for s in range(0, n, _BOX_BLOCK):
+    cols = x.T.take(order, axis=1)  # each column's values, contiguous
+    x0, n, s = cols[0], len(order), 0
+    ids = np.min_scalar_type(max(n - 1, 0))
+    while s < n:
         e = min(s + _BOX_BLOCK, n)
-        stop = e + int(np.searchsorted(x0[e:] - x0[e - 1], width, side="right"))
-        a = xs[s:e]
-        for t in range(s, stop, _BOX_TILE):
-            b = xs[t:min(t + _BOX_TILE, stop)]
-            near = np.abs(a[:, None, 0] - b[None, :, 0]) <= width
-            for k in range(1, x.shape[1]):
-                near &= np.abs(a[:, None, k] - b[None, :, k]) <= width
-            if t == s:
-                near = np.triu(near, 1)  # each pair once, no row with itself
-            i, j = np.nonzero(near)
-            yield rows[s + i], rows[t + j]
+        stop = _reach(x0, e, width)
+        if (e - s) * (stop - s) > _BOX_TILE:
+            e = s + max(1, _BOX_TILE // (stop - s))
+            stop = _reach(x0, e, width)
+        step = _BOX_TILE // (e - s)
+        for t in range(s, stop, step):
+            u = min(t + step, stop)
+            d = np.subtract.outer(x0[s:e], x0[t:u])
+            near = np.abs(d, out=d) <= width
+            for c in cols[1:]:
+                np.subtract.outer(c[s:e], c[t:u], out=d)
+                near &= np.abs(d, out=d) <= width
+            if t == s:  # each pair once, no row with itself
+                near[:, :e - s] = np.triu(near[:, :e - s], 1)
+            p, q = np.nonzero(near)
+            del d, near  # hold only narrow ids while this tile is counted
+            p, q = (p + s).astype(ids), (q + t).astype(ids)
+            yield p, q
+        s = e
 
 
-def _pair_counts(chunks, rest: np.ndarray, z: np.ndarray, width: float, n: int):
+def _pair_counts(order: np.ndarray, chunks, rest: np.ndarray, z: np.ndarray,
+                 width: float):
     """Per-row neighbour counts ``(cw, czw)`` over W and over (W, Z), self
     excluded, from the pairs of rows within ``width`` on W's first columns.
 
-    ``chunks`` yields those pairs as :func:`_box_pairs` does, and ``rest``
-    holds W's other columns. A pair counts towards both its rows in cw when
-    its ``rest`` columns also lie within ``width``, and in czw when its
-    ``z`` columns do too. The counts are integers, so they do not depend on
-    the order of the pairs.
+    ``chunks`` yields those pairs as :func:`_box_pairs` does, as positions
+    in ``order``, and ``rest`` holds W's other columns; both it and ``z``
+    are gathered into that order once per call. A pair counts towards both
+    its rows in cw when its ``rest`` columns also lie within ``width``, and
+    in czw when its ``z`` columns do too. The counts are integers, so they
+    do not depend on the order of the pairs.
     """
-    cw = np.zeros(n, dtype=np.int64)
-    czw = np.zeros(n, dtype=np.int64)
-    stages = ((cw, [np.ascontiguousarray(c) for c in rest.T]),
-              (czw, [np.ascontiguousarray(c) for c in z.T]))
-    for i, j in chunks:
-        for counts, columns in stages:
+    n = len(order)
+    counts = np.zeros((2, n), dtype=np.int64)
+    stages = ((counts[0], [c.take(order) for c in rest.T]),
+              (counts[1], [c.take(order) for c in z.T]))
+    for p, q in chunks:
+        p, q = p.astype(np.intp, copy=False), q.astype(np.intp, copy=False)
+        for found, columns in stages:
             for c in columns:
-                d = c.take(i)
-                d -= c.take(j)
+                d = c.take(p)
+                d -= c.take(q)
                 keep = np.flatnonzero(np.abs(d, out=d) <= width)
-                i, j = i.take(keep), j.take(keep)
-            counts += np.bincount(i, minlength=n)
-            counts += np.bincount(j, minlength=n)
-    return cw, czw
+                p, q = p.take(keep), q.take(keep)
+            found += np.bincount(p, minlength=n)
+            found += np.bincount(q, minlength=n)
+        del p, q  # free this chunk's ids before the next one is found
+    by_row = np.empty_like(counts)
+    by_row[:, order] = counts
+    return by_row[0], by_row[1]
 
 
 def _box_counts(w: np.ndarray, z: np.ndarray, width: float):
@@ -266,7 +283,8 @@ def _box_counts(w: np.ndarray, z: np.ndarray, width: float):
     neighbours in W.)"""
     n = z.shape[0]
     x = w if w.shape[1] else z
-    cw, czw = _pair_counts(_box_pairs(x, width), w[:, :0], z, width, n)
+    order = np.argsort(x[:, 0], kind="stable")
+    cw, czw = _pair_counts(order, _box_pairs(x, order, width), w[:, :0], z, width)
     if not w.shape[1]:
         cw[:] = n - 1
     return cw, czw
@@ -287,37 +305,61 @@ def box_cond_entropy(z: np.ndarray, w: np.ndarray, width: float) -> float:
     return _box_entropy(*_box_counts(w, z, width))
 
 
+def _neighbour_lists(x: np.ndarray, width: float, room: float):
+    """The pairs of :func:`_box_pairs` over the rows of ``x`` as neighbour
+    lists ``(order, offsets, partners)``: position p pairs with positions
+    ``partners[offsets[p]:offsets[p + 1]]``. The tiles arrive in order of p,
+    so no sort is needed. None when the arrays would pass ``room`` bytes."""
+    order = np.argsort(x[:, 0], kind="stable")
+    offsets = np.zeros(x.shape[0] + 1, dtype=np.int64)
+    lists, size = [], order.nbytes + offsets.nbytes
+    for p, q in _box_pairs(x, order, width):
+        size += q.nbytes
+        if size > room:
+            return None
+        if q.size:  # p is sorted: count its rows from the first
+            offsets[int(p[0]) + 1:int(p[-1]) + 2] += np.bincount(p - p[0])
+        lists.append(q)
+    np.cumsum(offsets, out=offsets)
+    return order, offsets, np.concatenate(lists)
+
+
+def _neighbour_chunks(offsets: np.ndarray, partners: np.ndarray):
+    """Yield the pairs of neighbour lists as :func:`_box_pairs` does, over
+    ranges of rows holding about ``_PAIR_CHUNK`` pairs."""
+    cuts = np.searchsorted(offsets, np.arange(_PAIR_CHUNK, offsets[-1], _PAIR_CHUNK))
+    bounds = [0, *cuts.tolist(), len(offsets) - 1]
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield (np.repeat(np.arange(lo, hi), np.diff(offsets[lo:hi + 1])),
+               partners[offsets[lo]:offsets[hi]])
+
+
 def _kept_pairs(view: EmbeddedView, sel: Selection, width: float):
-    """The neighbour-pair chunks of one column block (see :func:`_box_pairs`),
-    found once and kept on the view, or None when keeping them would take
-    the view's kept pairs past ``_KEPT_PAIRS``. Kept chunks are only read."""
+    """The neighbour lists of one column block (see :func:`_neighbour_lists`),
+    found once and kept on the view, or None when keeping them would take the
+    view's kept arrays past ``_KEPT_BYTES``. Kept arrays are only read."""
     key = ("box-pairs", width, sel)
     if key not in view._memo:
-        room = _KEPT_PAIRS - sum(len(i) for k, found in view._memo.items()
-                                 if k[0] == "box-pairs" and found for i, _ in found)
-        chunks, total = [], 0
-        for i, j in _box_pairs(_resolve(view, [sel]), width):
-            total += len(i)
-            if total > room:
-                chunks = None
-                break
-            chunks.append((i, j))
-        view._memo[key] = chunks
+        room = _KEPT_BYTES - sum(a.nbytes for k, kept in view._memo.items()
+                                 if k[0] == "box-pairs" and kept for a in kept)
+        view._memo[key] = _neighbour_lists(_resolve(view, [sel]), width, room)
     return view._memo[key]
 
 
 def _box_given(view: EmbeddedView, first: Selection, z: np.ndarray, width: float):
     """A function of W's other columns ``rest`` that returns H(Z | first
     block, rest) on the box kernel. It counts from the first block's kept
-    pairs, filtered by ``rest``; with none kept, from pairs found afresh
-    over the whole of W."""
+    neighbour lists, filtered by ``rest``; with none kept, from pairs found
+    afresh over the whole of W."""
     pairs = _kept_pairs(view, first, width)
     x = _resolve(view, [first])
 
     def entropy(rest: np.ndarray) -> float:
         if pairs is None:
             return box_cond_entropy(z, np.hstack([x, rest]), width)
-        return _box_entropy(*_pair_counts(pairs, rest, z, width, view.rows))
+        order, offsets, partners = pairs
+        return _box_entropy(*_pair_counts(order, _neighbour_chunks(offsets, partners),
+                                          rest, z, width))
     return entropy
 
 

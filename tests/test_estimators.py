@@ -15,7 +15,10 @@ from netinfer.estimators import (
     _BOX_BLOCK,
     _box_counts,
     _box_pairs,
+    _kept_pairs,
     _log2_table,
+    _neighbour_chunks,
+    _neighbour_lists,
     _pair_counts,
     box_cond_entropy,
 )
@@ -355,22 +358,25 @@ def test_box_counts_memory_bounded_by_block():
 
 @pytest.mark.parametrize("kept", ["rest-keeps-none", "target-keeps-none", "every"])
 def test_pair_counts_keep_none_or_every_pair(kept):
-    # a stage whose filter keeps no pair gathers empty int32 row ids and
-    # counts nothing; one that keeps every pair counts them all
+    # a stage whose filter keeps no pair gathers empty intp positions and
+    # counts nothing; one that keeps every pair counts them all, from the
+    # tiles as they are found and from the neighbour lists a view keeps
     rng = np.random.default_rng(28)
     first = rng.random((300, 1))
     far = np.arange(300.0)[:, None]  # every pair 1.0 or more apart
     near = np.zeros((300, 1))        # every pair 0.0 apart
     rest, z = {"rest-keeps-none": (far, near), "target-keeps-none": (near, far),
                "every": (near, near)}[kept]
-    cw, czw = _pair_counts(_box_pairs(first, 0.2), rest, z, 0.2, 300)
+    order, offsets, partners = _neighbour_lists(first, 0.2, math.inf)
     w = np.hstack([first, rest])
-    assert np.array_equal(cw, brute_box_counts(w, 0.2))
-    assert np.array_equal(czw, brute_box_counts(np.hstack([w, z]), 0.2))
-    if kept == "every":
-        assert np.array_equal(czw, brute_box_counts(first, 0.2))
-    else:
-        assert not czw.any() and cw.any() == (kept == "target-keeps-none")
+    for chunks in (_box_pairs(first, order, 0.2), _neighbour_chunks(offsets, partners)):
+        cw, czw = _pair_counts(order, chunks, rest, z, 0.2)
+        assert np.array_equal(cw, brute_box_counts(w, 0.2))
+        assert np.array_equal(czw, brute_box_counts(np.hstack([w, z]), 0.2))
+        if kept == "every":
+            assert np.array_equal(czw, brute_box_counts(first, 0.2))
+        else:
+            assert not czw.any() and cw.any() == (kept == "target-keeps-none")
 
 
 # the pairs a view keeps: every box entropy of one first conditioner block
@@ -381,8 +387,8 @@ def _recorded_pair_counts(monkeypatch):
     calls = []
     real = ni.estimators._pair_counts
 
-    def record(chunks, rest, z, width, n):
-        found = real(chunks, rest, z, width, n)
+    def record(order, chunks, rest, z, width):
+        found = real(order, chunks, rest, z, width)
         calls.append((rest, z, found))
         return found
     monkeypatch.setattr(ni.estimators, "_pair_counts", record)
@@ -459,17 +465,56 @@ def _box_values(view, kind):
 
 @pytest.mark.parametrize("data", sorted(_KEPT_VIEWS))
 def test_pairs_past_the_cap_give_the_same_bits(monkeypatch, data):
+    # every destination's pairs kept; only the first destination's (its
+    # bytes are the whole budget, so the next one's do not fit); or none
     width, make_view = _KEPT_VIEWS[data]
     kind = ni.EstimatorKind.box_kernel(width)
     kept_view = make_view()
     kept = _box_values(kept_view, kind)
-    monkeypatch.setattr(ni.estimators, "_KEPT_PAIRS", 0)
-    fresh_view = make_view()
-    fresh = _box_values(fresh_view, kind)
-    assert [h.hex() for h in fresh] == [h.hex() for h in kept]
+    one = sum(a.nbytes for a in kept_view._memo[("box-pairs", width, history(0))])
+    views = {}
+    for budget in (one, 0):
+        monkeypatch.setattr(ni.estimators, "_KEPT_BYTES", budget)
+        views[budget] = make_view()
+        got = _box_values(views[budget], kind)
+        assert [h.hex() for h in got] == [h.hex() for h in kept]
     for s in range(3):
         key = ("box-pairs", width, history(s))
-        assert kept_view._memo[key] is not None and fresh_view._memo[key] is None
+        assert kept_view._memo[key] is not None
+        assert (views[one]._memo[key] is not None) == (s == 0)
+        assert views[0]._memo[key] is None
+
+
+def test_kept_lists_hold_two_bytes_a_pair():
+    # below 65,536 rows a pair's partner is a uint16 position, and the row
+    # order and offsets take 16 bytes a row
+    width = 0.15
+    view = _real_chain_view(26)
+    ni.conditional_entropy(next_value(1), [history(1), history(0)], view,
+                           ni.EstimatorKind.box_kernel(width))
+    order, offsets, partners = view._memo[("box-pairs", width, history(1))]
+    first, rest, z = view.history(1), view.history(0), view.target(1)[:, None]
+    assert partners.dtype == np.uint16 and partners.nbytes == 2 * offsets[-1]
+    assert order.nbytes + offsets.nbytes == 16 * view.rows + 8
+    assert 2 * offsets[-1] == reference_box_counts(first, width).sum()
+    counts = _pair_counts(order, _neighbour_chunks(offsets, partners), rest, z, width)
+    _assert_counts_exact(first, rest, z, counts, width)
+
+
+def test_kept_lists_past_65536_rows_hold_uint32_partners():
+    # consecutive integers at width 1.0: each row pairs with the next one only
+    n = 65_537
+    series = np.vstack([np.arange(n + 1.0),
+                        np.random.default_rng(29).integers(0, 4, n + 1)])
+    view = ni.delay_embed(ni.TimeSeriesSet(series), ni.EmbeddingSpec.uniform(2, 1, 1))
+    assert view.rows == n
+    order, offsets, partners = _kept_pairs(view, history(0), 1.0)
+    assert partners.dtype == np.uint32 and offsets[-1] == n - 1
+    rest, z = view.history(1), view.target(0)[:, None]
+    cw, czw = _pair_counts(order, _neighbour_chunks(offsets, partners), rest, z, 1.0)
+    w = np.hstack([view.history(0), rest])
+    assert np.array_equal(cw, reference_box_counts(w, 1.0))
+    assert np.array_equal(czw, reference_box_counts(np.hstack([w, z]), 1.0))
 
 
 def test_box_kernel_tee_imports_no_scipy_spatial():
