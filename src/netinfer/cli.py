@@ -19,7 +19,7 @@ import tempfile
 import time
 import warnings
 from dataclasses import MISSING, fields, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .errors import (DataFormatError, NetinferError, NumericError, ValidationError,
@@ -37,7 +37,7 @@ from .simulate import (
 )
 from .timeseries import (
     EmbeddingSpec,
-    csv_text,
+    csv_chunks,
     delay_embed,
     discretize,
     load_csv,
@@ -50,12 +50,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _atomic_write(path: str, data: str):
+def _atomic_write(path: str, data: str | Iterable[str]):
+    """Write a string, or the strings a generator streams, to a temp file
+    beside ``path``, then rename it over ``path``: no partial file is seen."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".netinfer-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
+            fh.writelines([data] if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -65,7 +67,7 @@ def _atomic_write(path: str, data: str):
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops a BOM
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: cannot read: {exc}") from None
@@ -296,7 +298,7 @@ def cmd_simulate(args, argv) -> int:
     echo_path = os.path.join(args.out_dir, "config.json")
     manifest_path = os.path.join(args.out_dir, "run_manifest.json")
 
-    _atomic_write(data_path, csv_text(out.observations))
+    _atomic_write(data_path, csv_chunks(out.observations))
     names = out.observations.names
     _atomic_write(truth_path,
                   f"// manifest: {os.path.basename(manifest_path)}\n"

@@ -13,7 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -252,50 +252,68 @@ def _row_code(block: np.ndarray):
     return code, space
 
 
+# CSV rows parsed or written per step: memory beyond the array is one chunk's
+_CSV_CHUNK = 256
+
+
 def load_csv(path) -> TimeSeriesSet:
     """Read an observation dataset from CSV (header row, '.' decimals).
 
     Column order defines the subsystem index order. A UTF-8 byte order mark,
-    as spreadsheet programs write, is dropped. The first malformed row or
-    cell, row by row and left to right, is reported with its one-based row
-    number and column name.
+    as spreadsheet programs write, is dropped. The body is parsed into floats
+    ``_CSV_CHUNK`` rows at a time. Unless the file cannot be read to its end,
+    the first malformed row or cell, row by row and left to right, is
+    reported with its one-based row number and column name.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
-            rows = list(reader)
+            try:
+                header, data = _parse_rows(path, reader)
+            except DataFormatError:
+                for _ in reader:  # a read fault further on takes precedence
+                    pass
+                raise
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: cannot read: {exc}") from exc
-    if not rows:
+    return TimeSeriesSet(data.T, tuple(header))
+
+
+def _parse_rows(path, reader) -> tuple[list[str], np.ndarray]:
+    """The stripped header and the (N, M) body of a CSV reader's rows."""
+    first = next(reader, None)
+    if first is None:
         raise DataFormatError(f"{path}: empty file, header row required")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in first]
     if any(not h for h in header):
         raise DataFormatError(f"{path}: blank column name in header")
     dupes = {h for h in header if header.count(h) > 1}
     if dupes:
         raise DataFormatError(f"{path}: duplicate header {sorted(dupes)}")
-    body = rows[1:]
-    if not body:
+    m, parts, row = len(header), [], 2  # row: the file row number of a chunk's first
+    while chunk := list(islice(reader, _CSV_CHUNK)):
+        try:
+            if set(map(len, chunk)) != {m}:
+                raise ValueError
+            data = np.fromiter(map(float, chain.from_iterable(chunk)), dtype=float,
+                               count=len(chunk) * m)
+            # float() tolerates 1_000; the format does not
+            if "_" in "".join(chain.from_iterable(chunk)) or not np.isfinite(data).all():
+                raise ValueError
+        except ValueError:
+            raise DataFormatError(_first_fault(path, header, chunk, row)) from None
+        parts.append(data)
+        row += len(chunk)
+    if not parts:
         raise DataFormatError(f"{path}: empty body")
-    m = len(header)
-    try:
-        if set(map(len, body)) != {m}:
-            raise ValueError
-        data = np.fromiter(map(float, chain.from_iterable(body)), dtype=float,
-                           count=len(body) * m)
-        # float() tolerates 1_000; the format does not
-        if "_" in "".join(chain.from_iterable(body)) or not np.isfinite(data).all():
-            raise ValueError
-    except ValueError:
-        raise DataFormatError(_first_fault(path, header, body)) from None
-    if len(body) < 2:
+    if row < 4:
         raise DataFormatError(f"{path}: need at least two data rows")
-    return TimeSeriesSet(data.reshape(len(body), m).T, tuple(header))
+    return header, np.concatenate(parts).reshape(row - 2, m)
 
 
-def _first_fault(path, header: list[str], body: list[list[str]]) -> str:
-    """The message for the first row of the wrong length or bad cell."""
-    for r, cells in enumerate(body, start=2):
+def _first_fault(path, header: list[str], chunk: list[list[str]], row: int) -> str:
+    """The message for the first bad row or cell of ``chunk``, file rows ``row`` on."""
+    for r, cells in enumerate(chunk, start=row):
         if len(cells) != len(header):
             return f"{path}: row {r} has {len(cells)} cells, expected {len(header)}"
         for name, cell in zip(header, cells):
@@ -311,21 +329,21 @@ def _first_fault(path, header: list[str], body: list[list[str]]) -> str:
     raise AssertionError("no faulty row or cell")
 
 
-def csv_text(ts: TimeSeriesSet) -> str:
-    """Serialize a dataset in the same CSV dialect load_csv reads.
-
-    Floats use shortest round-trip notation so a write/read cycle is exact.
-    """
+def csv_chunks(ts: TimeSeriesSet):
+    """Yield the CSV text load_csv reads: the header line, then ``_CSV_CHUNK``
+    rows at a time, each float as its (never quoted) shortest round-trip repr."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(ts.names)
-    writer.writerows(ts.series.T.tolist())  # csv writes a float as its repr
-    return buf.getvalue()
+    csv.writer(buf).writerow(ts.names)
+    yield buf.getvalue()
+    for a in range(0, ts.series.shape[1], _CSV_CHUNK):
+        yield "".join(",".join(map(repr, row)) + "\r\n"
+                      for row in ts.series[:, a:a + _CSV_CHUNK].T.tolist())
 
 
 def write_csv(ts: TimeSeriesSet, path):
+    """Write a dataset to ``path`` as :func:`csv_chunks` streams it."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text(ts))
+        fh.writelines(csv_chunks(ts))
 
 
 def discretize(ts: TimeSeriesSet, bins: Union[int, Sequence[int]]) -> DiscretizedSeries:

@@ -562,8 +562,8 @@ def reference_load_csv(path) -> ni.TimeSeriesSet:
     return ni.TimeSeriesSet(data.T, tuple(header))
 
 
-# The reference for csv_text is the per-row writer its one writerows call
-# replaced: each value written as repr(float(v)).
+# The reference for csv_chunks is a per-row csv.writer: each value written
+# as repr(float(v)).
 
 def reference_csv_text(ts) -> str:
     buf = io.StringIO()

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from netinfer.cli import main
 from netinfer.search import MAX_RESTARTS
 from netinfer.significance import MAX_SURROGATES
 
-from conftest import cli_env
+from conftest import cli_env, reference_csv_text
 
 
 def _chain_config(tmp_path, n=600, seed=11, eps=0.4, name="config.json"):
@@ -233,6 +234,57 @@ def test_infer_reads_a_csv_with_a_byte_order_mark(tmp_path):
                  "--score", "tea", "--bins", "4"]) == 0
     assert main(["eval", "--inferred", str(out / "inferred.dot"),
                  "--truth", str(sim / "truth.dot")]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "score", "eval"])
+def test_text_inputs_drop_a_byte_order_mark(tmp_path, simulated, capsys, command):
+    graph = _write_dot(tmp_path / "chain.dot", 3, [(0, 1), (1, 2)])
+
+    def run(bom):
+        def mark(path):  # with a BOM, as Excel and Notepad save it
+            marked = path.with_name(f"{'bom' if bom else 'plain'}-{path.name}")
+            marked.write_bytes((b"\xef\xbb\xbf" if bom else b"") + path.read_bytes())
+            return str(marked)
+        out = tmp_path / f"out-{bom}"
+        out.mkdir()
+        argv = {"simulate": ["simulate", "--config", mark(_chain_config(tmp_path)),
+                             "--out-dir", str(out)],
+                "score": ["score", "--data", str(simulated / "data.csv"),
+                          "--graph", mark(graph), "--score", "tee", "--bins", "4",
+                          "--surrogates", "19", "--out", str(out / "report.json")],
+                "eval": ["eval", "--inferred", mark(graph),
+                         "--truth", mark(simulated / "truth.dot"),
+                         "--out", str(out / "metrics.json")]}[command]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        # manifests hold the input digests, which the mark changes
+        return printed, {p.name: p.read_bytes() for p in out.iterdir()
+                         if "manifest" not in p.name}
+
+    assert run(True) == run(False)
+
+
+def test_simulate_writes_data_csv_in_bounded_memory(tmp_path, monkeypatch):
+    names = ["V1", "V2", "V3", "V4", "V5"]
+    ts = ni.TimeSeriesSet(np.random.default_rng(2).random((5, 20000)), names)
+    cfg = ni.GdsConfig(ni.Dag.from_edges(5, []), ni.CoupledLogisticModel(4.0, 0.4),
+                       n=20000, names=names)
+    monkeypatch.setattr(cli, "simulate",
+                        lambda _: ni.SimOutput(ts, ts.series, cfg.graph, cfg))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"names": names, "edges": [], "n": 20000, "model": {
+        "type": "coupled-logistic", "r": 4.0, "epsilon": 0.4}}), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", str(path),
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text of every row at once would trace 7.7 MB
+    assert peak <= 2 ** 20
+    written = (tmp_path / "run" / "data.csv").read_bytes()
+    assert written == reference_csv_text(ts).encode()
 
 
 def test_simulate_outputs_validate_against_schemas(tmp_path):

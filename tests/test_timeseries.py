@@ -1,8 +1,11 @@
 import csv
+import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import netinfer as ni
+from netinfer import timeseries
 from netinfer.errors import DataFormatError, ValidationError
-from netinfer.timeseries import _BINCOUNT_CAP, csv_text, dense_ids
+from netinfer.timeseries import _BINCOUNT_CAP, _CSV_CHUNK, csv_chunks, dense_ids
 
 from conftest import reference_csv_text, reference_load_csv
 
@@ -89,20 +93,64 @@ _AWKWARD_FLOATS = (0.1, 1 / 3, -0.0, 5e-324, 1e16, 1.0)
 ], ids=["awkward", "one-column", "subnormal-scale"])
 def test_csv_text_matches_reference(series):
     ts = ni.TimeSeriesSet(series)
-    assert csv_text(ts) == reference_csv_text(ts)
+    assert "".join(csv_chunks(ts)) == reference_csv_text(ts)
 
 
 def test_csv_text_one_row_matches_reference():
-    # a TimeSeriesSet needs two samples; csv_text reads only names and series
+    # a TimeSeriesSet needs two samples; csv_chunks reads only names and series
     one_row = SimpleNamespace(names=("a", "b", "c"),
                               series=np.array([[0.1], [-0.0], [5e-324]]))
-    assert csv_text(one_row) == reference_csv_text(one_row) == "a,b,c\r\n0.1,-0.0,5e-324\r\n"
+    assert ("".join(csv_chunks(one_row)) == reference_csv_text(one_row)
+            == "a,b,c\r\n0.1,-0.0,5e-324\r\n")
+
+
+@pytest.mark.parametrize("chunk, n", [(1, 6), (2, 7), (3, 7),
+                                      (_CSV_CHUNK, 2 * _CSV_CHUNK + 5)])
+def test_streamed_csv_matches_reference_across_chunks(tmp_path, monkeypatch, chunk, n):
+    monkeypatch.setattr(timeseries, "_CSV_CHUNK", chunk)
+    series = np.random.default_rng(n).standard_normal((3, n))
+    series[:, :len(_AWKWARD_FLOATS)] = _AWKWARD_FLOATS[:n]
+    ts = ni.TimeSeriesSet(series)
+    pieces = list(csv_chunks(ts))
+    assert len(pieces) == 1 + math.ceil(n / chunk)  # the header, then each chunk
+    assert "".join(pieces) == reference_csv_text(ts)
+    ni.write_csv(ts, tmp_path / "data.csv")
+    assert (tmp_path / "data.csv").read_bytes() == reference_csv_text(ts).encode()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_memory_is_bounded_by_the_array_and_a_chunk(tmp_path):
+    ts = ni.TimeSeriesSet(np.random.default_rng(5).random((5, 20000)))
+    path = tmp_path / "data.csv"
+    _, write_peak = _traced_peak(lambda: ni.write_csv(ts, path))
+    assert write_peak <= 2 ** 20
+    back, read_peak = _traced_peak(lambda: ni.load_csv(path))
+    assert np.array_equal(back.series, ts.series)
+    # holding every cell as a Python string would trace 16x the array's bytes
+    assert read_peak <= 4 * back.series.nbytes + 2 ** 19
 
 
 def test_load_csv_drops_utf8_byte_order_mark(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbfV1,V2\n1,2\n3,4\n")
     assert ni.load_csv(path).names == ("V1", "V2")
+
+
+def test_load_csv_reports_a_read_fault_past_a_bad_cell(tmp_path, monkeypatch):
+    monkeypatch.setattr(timeseries, "_CSV_CHUNK", 1)
+    path = tmp_path / "data.csv"
+    # past the first blocks the file object decodes
+    path.write_bytes(b"a,b\n1,2\nx,4\n" + b"5,6\n" * 50000 + b"7,\xff\n")
+    outcome = _load_both(path)
+    assert outcome[0] is DataFormatError and "cannot read" in outcome[1]
 
 
 def _load_both(path):
@@ -119,7 +167,7 @@ def _load_both(path):
     return outcomes[0]
 
 
-@pytest.mark.parametrize("text, fragment", [
+_CRAFTED = [
     ("a,b\n1,2\n3\n4,x\n", "row 3 has 1 cells"),
     ("a,b\n1,2\n4,x\n3\n", "row 3, column 'b': cannot parse 'x'"),
     ("a,b\n1,2\n1_000,3\n", "cannot parse '1_000'"),
@@ -133,13 +181,50 @@ def _load_both(path):
     ("a,b\n1,2\n", "need at least two data rows"),
     ("a,b\n1,nan\n", "non-finite value 'nan'"),
     ("a_1,b\n1,2\n3,4\n", None),
-])
-def test_load_csv_matches_reference_on_crafted_files(tmp_path, text, fragment):
+]
+
+
+def _check_crafted(tmp_path, text, fragment):
     outcome = _load_both(_write(tmp_path, text))
     if fragment is None:
         assert isinstance(outcome[1], bytes)
     else:
         assert outcome[0] is DataFormatError and fragment in outcome[1]
+
+
+@pytest.mark.parametrize("text, fragment", _CRAFTED)
+def test_load_csv_matches_reference_on_crafted_files(tmp_path, text, fragment):
+    _check_crafted(tmp_path, text, fragment)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("text, fragment", _CRAFTED)
+def test_load_csv_matches_reference_on_crafted_files_in_small_chunks(
+        tmp_path, monkeypatch, chunk, text, fragment):
+    monkeypatch.setattr(timeseries, "_CSV_CHUNK", chunk)
+    _check_crafted(tmp_path, text, fragment)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("where", ["first-of-later-chunk", "last-of-chunk",
+                                   "blank-between-chunks", "short-final-chunk", "none"])
+def test_load_csv_names_the_file_row_at_chunk_boundaries(tmp_path, monkeypatch,
+                                                         chunk, where):
+    monkeypatch.setattr(timeseries, "_CSV_CHUNK", chunk)
+    rows = [f"{i},{i}.5" for i in range(3 * chunk + 1)]  # 3 chunks and 1 row
+    at = {"first-of-later-chunk": chunk, "last-of-chunk": 2 * chunk - 1,
+          "blank-between-chunks": 2 * chunk, "short-final-chunk": 3 * chunk}.get(where)
+    if where == "blank-between-chunks":
+        rows.insert(at, "")
+    elif at is not None:
+        rows[at] = f"{at},x"
+    outcome = _load_both(_write(tmp_path, "a,b\n" + "\n".join(rows) + "\n"))
+    if at is None:
+        assert outcome[0] == ("a", "b") and len(outcome[1]) == 8 * 2 * len(rows)
+    elif where == "blank-between-chunks":
+        assert f"row {at + 2} has 0 cells, expected 2" in outcome[1]
+    else:
+        assert f"row {at + 2}, column 'b': cannot parse 'x'" in outcome[1]
 
 
 _NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -156,7 +241,9 @@ def test_load_csv_matches_reference_on_generated_grids(m, data):
     if data.draw(st.booleans()):
         rows.insert(data.draw(st.integers(0, len(rows))),
                     data.draw(st.lists(cells, max_size=m + 1)))
-    with tempfile.TemporaryDirectory() as tmp:
+    chunk = data.draw(st.sampled_from([1, 2, 3, _CSV_CHUNK]))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(timeseries, "_CSV_CHUNK", chunk):
         path = os.path.join(tmp, "data.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows([[f"V{i + 1}" for i in range(m)]] + rows)
