@@ -171,6 +171,9 @@ def _build_scorer(args, ts) -> Scorer:
         data = discretize(ts, _parse_int_list(str(args.bins), m, "--bins"))
         kind = EstimatorKind.discrete_plugin()
     else:
+        if args.bins is not None:
+            raise ValidationError(f"--bins applies to the discrete estimator only; "
+                                  f"{args.estimator} reads the real values")
         data = ts
         if args.estimator == "linear-gaussian":
             kind = EstimatorKind.linear_gaussian()

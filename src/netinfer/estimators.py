@@ -21,6 +21,10 @@ Three interchangeable density models back every measure here:
   budget, so every entropy conditioned on a destination's own past, its
   surrogates included, counts from pairs found once.
 
+Each kernel prepares one entropy, H(target | first block, rest), as a
+function of rest's rows (``_given``). It serves both a plain entropy, given
+rest's own rows, and every surrogate draw, given a resampling of them.
+
 All values are in bits. A view memoises its dense row ids, its kept
 neighbour pairs and every conditional entropy computed on it, without a
 lock, so a view, and the ``Scorer`` that holds it, serves one thread.
@@ -108,13 +112,15 @@ def _resolve(view: EmbeddedView, selections: Iterable[Selection]) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # discrete counting kernel over dense integer row ids; _BINCOUNT_CAP, the
-# largest id space counted by np.bincount, lives next to dense_ids
+# largest id space counted by np.bincount unranked, lives next to dense_ids
 
 def _join(a: np.ndarray, n_a: int, b: np.ndarray, n_b: int):
     """Ids of the row pairs (a, b), renumbered densely when the product
     space passes the bincount cap. Every id space then stays below the
     larger of the cap and the row count, so a product of two never
     overflows int64."""
+    if n_a == 1:  # every a is 0
+        return b, n_b
     code = a * n_b + b
     if n_a * n_b <= _BINCOUNT_CAP:
         return code, n_a * n_b
@@ -130,31 +136,17 @@ def _selection_ids(view: EmbeddedView, selections: Sequence[Selection]):
     return ids, n
 
 
-def _row_counts(ids: np.ndarray, n_ids: int) -> np.ndarray:
-    """How many rows share each row's id (ids must lie in 0..n_ids-1)."""
-    if n_ids <= _BINCOUNT_CAP:
-        return np.bincount(ids)[ids]
-    _, inv, cnt = np.unique(ids, return_inverse=True, return_counts=True)
-    return cnt[inv]
-
-
 def _log2_table(rows: int) -> np.ndarray:
     """np.log2 of each row count 0..rows by index (0, never a count, maps to 0)."""
     return np.log2(np.maximum(np.arange(rows + 1), 1))
 
 
-def discrete_cond_entropy(w: np.ndarray, n_w: int, zw: np.ndarray, n_zw: int,
-                          log2: np.ndarray) -> float:
-    """Plug-in H(Z|W) in bits from per-row ids of W and of (W, Z), with the
-    logs of the row counts read from ``log2 = _log2_table(rows)``."""
-    per_row = log2.take(_row_counts(w, n_w)) - log2.take(_row_counts(zw, n_zw))
+def discrete_cond_entropy(w: np.ndarray, zw: np.ndarray, log2: np.ndarray) -> float:
+    """Plug-in H(Z|W) in bits from per-row ids of W and of (W, Z), each below
+    ``_join``'s bound, with the logs of the row counts read from ``log2 =
+    _log2_table(rows)``: every discrete entropy, plain or surrogate."""
+    per_row = log2.take(np.bincount(w).take(w)) - log2.take(np.bincount(zw).take(zw))
     return float(np.add.reduce(per_row) / len(w))  # np.mean's sum and division
-
-
-def _discrete_from_view(view: EmbeddedView, target, conditioners) -> float:
-    w, n_w = _selection_ids(view, conditioners)
-    return discrete_cond_entropy(w, n_w, *_join(w, n_w, *_selection_ids(view, target)),
-                                 _log2_table(view.rows))
 
 
 def gaussian_cond_entropy(z: np.ndarray, w: np.ndarray) -> float:
@@ -346,13 +338,14 @@ def _kept_pairs(view: EmbeddedView, sel: Selection, width: float):
     return view._memo[key]
 
 
-def _box_given(view: EmbeddedView, first: Selection, z: np.ndarray, width: float):
-    """A function of W's other columns ``rest`` that returns H(Z | first
-    block, rest) on the box kernel. It counts from the first block's kept
-    neighbour lists, filtered by ``rest``; with none kept, from pairs found
-    afresh over the whole of W."""
-    pairs = _kept_pairs(view, first, width)
-    x = _resolve(view, [first])
+def _box_given(view: EmbeddedView, first, z: np.ndarray, width: float):
+    """A function of W's other columns ``rest`` that returns H(Z | first,
+    rest) on the box kernel, ``first`` being zero or one selection. It
+    counts from the first block's kept neighbour lists, filtered by
+    ``rest``; with none kept, or no first block, from pairs found afresh
+    over the whole of W."""
+    pairs = _kept_pairs(view, first[0], width) if first else None
+    x = _resolve(view, first)
 
     def entropy(rest: np.ndarray) -> float:
         if pairs is None:
@@ -363,13 +356,31 @@ def _box_given(view: EmbeddedView, first: Selection, z: np.ndarray, width: float
     return entropy
 
 
-def _box_from_view(view: EmbeddedView, target, conditioners, width: float) -> float:
-    """H(target | conditioners) on the box kernel, counted from the first
-    conditioner block's pairs (see :func:`_box_given`)."""
-    z = _resolve(view, target)
-    if not conditioners:
-        return box_cond_entropy(z, _resolve(view, conditioners), width)
-    return _box_given(view, conditioners[0], z, width)(_resolve(view, conditioners[1:]))
+def _given(view: EmbeddedView, kind: EstimatorKind, target, first, rest):
+    """``(block, h)``: the ``rest`` selections' rows as the kernel reads them
+    (joint ids for the discrete estimator, columns otherwise), and ``h(rows)``,
+    H(target | first, rest) with rest's rows replaced by ``rows``. ``first``
+    is zero or one selection. Everything ``rows`` does not touch is prepared
+    once, so a plain entropy is ``h(block)`` and a surrogate draw pays only
+    for its rows and the counting."""
+    if kind.method == "discrete-plugin":
+        w, n_w = _selection_ids(view, first)
+        zw, n_zw = _join(w, n_w, *_selection_ids(view, target))
+        block, n_r = _selection_ids(view, rest)
+        if n_zw * n_r > _BINCOUNT_CAP:  # rank once, not in every join
+            zw, n_zw = dense_ids(zw, n_zw)
+            block, n_r = dense_ids(block, n_r)
+        log2 = _log2_table(view.rows)
+
+        def h(rows: np.ndarray) -> float:
+            return discrete_cond_entropy(_join(w, n_w, rows, n_r)[0],
+                                         _join(zw, n_zw, rows, n_r)[0], log2)
+        return block, h
+    z, block = _resolve(view, target), _resolve(view, rest)
+    if kind.method == "box-kernel":
+        return block, _box_given(view, first, z, kind.width)
+    x = _resolve(view, first)
+    return block, lambda rows: gaussian_cond_entropy(z, np.hstack([x, rows]))
 
 
 def _check_kind(view: EmbeddedView, kind: EstimatorKind):
@@ -400,14 +411,8 @@ def conditional_entropy(target, conditioners, view: EmbeddedView,
         _check_kind(view, kind)
         if not target:
             raise ValidationError("target selection is empty")
-        if kind.method == "discrete-plugin":
-            found = _discrete_from_view(view, target, conditioners)
-        elif kind.method == "linear-gaussian":
-            found = gaussian_cond_entropy(_resolve(view, target),
-                                          _resolve(view, conditioners))
-        else:
-            found = _box_from_view(view, target, conditioners, kind.width)
-        view._memo[key] = found
+        block, h = _given(view, kind, target, conditioners[:1], conditioners[1:])
+        found = view._memo[key] = h(block)
     return found
 
 
@@ -430,36 +435,13 @@ def collective_transfer_entropy(dest: int, sources, view: EmbeddedView,
 
 def resampled_source_entropy(dest: int, sources, view: EmbeddedView,
                              kind: EstimatorKind):
-    """Return ``(h_self, block, h_full)`` for the destination's next value:
-    ``h_self`` is H(next | own past), ``block`` holds the joint source-history
-    rows (one id per row for the discrete estimator), and ``h_full(rows)`` is
-    H(next | own past, source pasts) with the source rows replaced by
-    ``rows``, a resampling of ``block`` (``sources`` must be non-empty).
-    Everything that the resampling does not touch is prepared once, so a
-    surrogate population pays only for the draw and the counting.
-    """
+    """``(h_self, block, h_full)`` of the destination's next value: H(next |
+    own past), then :func:`_given`'s pair for H(next | own past, source
+    pasts), so ``h_full`` takes a resampling of ``block``, the joint source
+    pasts, and ``h_full(block)`` is the plain entropy (``sources`` non-empty)."""
     h_self = conditional_entropy(next_value(dest), [history(dest)], view, kind)
-    if kind.method == "discrete-plugin":
-        wd, n_wd = view.symbol_ids("history", dest)
-        z, n_z = view.symbol_ids("next", dest)
-        dz, n_dz = dense_ids(wd * n_z + z, n_wd * n_z)
-        src, n_src = dense_ids(*_selection_ids(view, [history(s) for s in sources]))
-        wd_base, dz_base = wd * n_src, dz * n_src
-        log2 = _log2_table(view.rows)
-
-        def h_full(s: np.ndarray) -> float:
-            return discrete_cond_entropy(wd_base + s, n_wd * n_src,
-                                         dz_base + s, n_dz * n_src, log2)
-        return h_self, src, h_full
-    z = _resolve(view, [next_value(dest)])
-    if kind.method == "box-kernel":
-        h_full = _box_given(view, history(dest), z, kind.width)
-    else:
-        wd = _resolve(view, [history(dest)])
-
-        def h_full(ws: np.ndarray) -> float:
-            return gaussian_cond_entropy(z, np.hstack([wd, ws]))
-    return h_self, _resolve(view, [history(s) for s in sources]), h_full
+    return (h_self, *_given(view, kind, (next_value(dest),), (history(dest),),
+                            [history(s) for s in sources]))
 
 
 def stochastic_interaction(view: EmbeddedView, kind: EstimatorKind) -> float:

@@ -15,22 +15,24 @@ from :func:`enumerate_dags` walks it only when asked.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, check_int
 
 MAX_EXHAUSTIVE_VERTICES = 6
 
 
 def check_parents(vertex: int, parents: Sequence[int], m: int):
     """The one parent-set rule, for graphs, scores and tests alike: every
-    index lies in 0..m-1, the vertex is not its own parent, no parent
-    repeats."""
+    index is an integer by :func:`~netinfer.errors.check_int`'s rule (2,
+    2.0 or numpy's int64 2, not False, 0.9 or "0") and lies in 0..m-1, the
+    vertex is not its own parent, no parent repeats."""
     for s in (vertex, *parents):
-        if not 0 <= s < m:
+        if not 0 <= check_int("vertex", s, -math.inf) < m:
             raise ValidationError(f"vertex {s} out of range for {m} vertices")
     if vertex in parents:
         raise ValidationError(f"self-loop on vertex {vertex}")
@@ -60,9 +62,9 @@ class Dag:
             raise ValidationError(
                 f"parents has {len(self.parents)} entries for {self.m} vertices"
             )
-        norm = tuple(tuple(sorted(ps)) for ps in self.parents)
-        for v, ps in enumerate(norm):
+        for v, ps in enumerate(self.parents):
             check_parents(v, ps, self.m)
+        norm = tuple(tuple(sorted(map(int, ps))) for ps in self.parents)
         object.__setattr__(self, "parents", norm)
         # a cycle exists iff some vertex reaches one of its own parents
         reach = self._descendants

@@ -18,8 +18,8 @@ Score kinds
 
 ``tea`` and ``tee`` test at the ``Scorer``'s one ``alpha``. ``Scorer.local``
 returns the memo entry of a ``parents`` tuple that is already a stored key
-(the search's sorted tuples) as it stands; other input is sorted and made
-ints first. A miss checks it with :func:`graph.check_parents`.
+(the search's sorted tuples) as it stands; other input is checked with
+:func:`graph.check_parents`, then sorted and made ints.
 
 ``Scorer.local_bound`` is an upper bound of a local for the greedy climb's
 pruning, and draws no surrogate. ``Scorer.draw_chunk``, the only method that
@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .estimators import EstimatorKind, conditional_entropy, history, next_value
 from .graph import Dag, check_parents, check_vertex_count
 from .significance import (
@@ -228,13 +229,20 @@ class Scorer:
             _, per_source = gaussian_te_degrees_of_freedom(parents, kappa)
         return sum(chi2_quantile(Chi2Params(l, self.alpha)) for l in per_source)
 
-    def _ic_dimension(self, vertex: int, parents: tuple[int, ...]) -> int:
-        view = self.view
+    def _ic_penalty(self, vertex: int, parents: tuple[int, ...]) -> float:
+        """f(N) * C(G) of one local, C(G) its parameter count; ``ml`` has
+        f(N) = 0 and counts none."""
+        view, f_of_n = self.view, self._f_of_n()
+        if not f_of_n:
+            return 0.0
         r = view.alphabet(vertex)
         c = (r - 1) * r ** view.kappa(vertex)
         for p in parents:
             c *= view.alphabet(p) ** view.kappa(p)
-        return c
+        if c > sys.float_info.max / f_of_n:
+            raise NumericError(f"parameter count overflow: {self.score_kind} "
+                               "is infeasible at this resolution")
+        return f_of_n * c
 
     def _f_of_n(self) -> float:
         if self.score_kind == "aic":
@@ -247,15 +255,16 @@ class Scorer:
 
     def _entry(self, vertex: int, parents: Sequence[int], count=False):
         """The memo key (vertex, sorted int parents) and its stored
-        ``LocalScore`` or None, counted as a hit or a miss if ``count``. A
-        key not stored is checked with :func:`check_parents`."""
+        ``LocalScore`` or None, counted as a hit or a miss if ``count``. The
+        input is checked with :func:`check_parents` before it is made ints,
+        and a rejected one counts as a miss."""
         cache = self.cache
-        key = (vertex, tuple(sorted(int(p) for p in parents)))
+        cache.misses += count  # until the key is found
+        check_parents(vertex, parents, self.view.m_total)
+        key = (int(vertex), tuple(sorted(int(p) for p in parents)))
         found = cache.store.get(key)
-        if found is None:
-            cache.misses += count
-            check_parents(vertex, key[1], self.view.m_total)
-        else:
+        if found is not None:
+            cache.misses -= count
             cache.hits += count
         return key, found
 
@@ -330,7 +339,7 @@ class Scorer:
         if kind in IC_KINDS:
             h_full = self._entropy(vertex, parents)
             te = self._entropy(vertex) - h_full
-            penalty = self._f_of_n() * self._ic_dimension(vertex, parents)
+            penalty = self._ic_penalty(vertex, parents)
             local = -self.n_effective * h_full - penalty
             return LocalScore(te=te, penalty=penalty, local=local)
 

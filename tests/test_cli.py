@@ -480,6 +480,48 @@ def test_infer_exhaustive_rejects_max_parents(tmp_path, simulated, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["score", "infer"])
+@pytest.mark.parametrize("estimator", ["linear-gaussian", "box-kernel"])
+def test_bins_rejected_by_real_valued_estimators(tmp_path, simulated, capsys,
+                                                  command, estimator):
+    # these estimators read the real values, so a bin count would be ignored
+    out = tmp_path / "out"
+    argv = [command, "--data", str(simulated / "data.csv"), "--score", "tee",
+            "--estimator", estimator, "--width", "0.1", "--bins", "8"]
+    if command == "score":
+        graph = _write_dot(tmp_path / "chain.dot", 3, [(0, 1), (1, 2)])
+        argv += ["--graph", str(graph), "--out", str(out)]
+    else:
+        argv += ["--out-dir", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --bins") and estimator in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("score, code", [("aic", 2), ("bic", 2), ("ml", 0)])
+def test_parameter_count_past_float_range(tmp_path, capsys, score, code):
+    # 400 bins at kappa 120 give about 10**312 parameters a local, past
+    # float range; ml weighs them by f(N) = 0, so it counts none
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(_chain_config(tmp_path)),
+                 "--out-dir", str(sim)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["infer", "--data", str(sim / "data.csv"), "--out-dir", str(out),
+                 "--score", score, "--bins", "400", "--kappa", "120"]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    if code == 2:
+        assert err == (f"numeric error: parameter count overflow: {score} is "
+                       "infeasible at this resolution\n")
+        assert not out.exists()
+    else:
+        assert err.startswith("warning: --score ml is non-decreasing")
+        assert (out / "inferred.dot").exists()
+
+
 @pytest.mark.parametrize("restarts", ["0", "3"])
 def test_infer_exhaustive_rejects_restarts(tmp_path, simulated, capsys, restarts):
     # an explicit --restarts, even 0, has no meaning without greedy search

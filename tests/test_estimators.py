@@ -485,6 +485,42 @@ def test_pairs_past_the_cap_give_the_same_bits(monkeypatch, data):
         assert views[0]._memo[key] is None
 
 
+_PRIMITIVE_CASES = {
+    # (kind, view, _KEPT_BYTES or None to keep the default)
+    "discrete-under-cap": (DISCRETE, lambda: random_discrete_view(3, 800, 2, seed=64,
+                                                                  kappa=2), None),
+    "discrete-past-cap": (DISCRETE, lambda: random_discrete_view(3, 800, 16, seed=65,
+                                                                 kappa=2), None),
+    "linear-gaussian": (GAUSSIAN, lambda: _real_chain_view(66), None),
+    "box-kept": (ni.EstimatorKind.box_kernel(0.2), lambda: _real_chain_view(67), None),
+    "box-unkept": (ni.EstimatorKind.box_kernel(0.2), lambda: _real_chain_view(67), 0),
+}
+
+
+@pytest.mark.parametrize("sources", [(0,), (0, 2)], ids=["one", "two"])
+@pytest.mark.parametrize("case", sorted(_PRIMITIVE_CASES))
+def test_surrogate_entropy_of_the_unresampled_block_is_the_plain_one(
+        monkeypatch, case, sources):
+    # a surrogate draw and a plain entropy are one prepared entropy, so the
+    # draw that leaves the rows as they are gives the plain value
+    kind, make_view, budget = _PRIMITIVE_CASES[case]
+    if budget is not None:
+        monkeypatch.setattr(ni.estimators, "_KEPT_BYTES", budget)
+    view = make_view()
+    conds = [history(1)] + [history(s) for s in sources]
+    if kind is DISCRETE:
+        spaces = [view.symbol_ids(sel.role, sel.subsystem)[1]
+                  for sel in [next_value(1), *conds]]
+        assert (math.prod(spaces) > _BINCOUNT_CAP) == case.endswith("past-cap")
+    h_self, block, h_full = ni.estimators.resampled_source_entropy(1, sources, view, kind)
+    got = h_full(block)
+    fresh = make_view()
+    assert got.hex() == ni.conditional_entropy(next_value(1), conds, fresh, kind).hex()
+    assert h_self == ni.conditional_entropy(next_value(1), [history(1)], fresh, kind)
+    kept = view._memo.get(("box-pairs", kind.width, history(1)))
+    assert (kept is not None) == (case == "box-kept")
+
+
 def test_kept_lists_hold_two_bytes_a_pair():
     # below 65,536 rows a pair's partner is a uint16 position, and the row
     # order and offsets take 16 bytes a row

@@ -241,3 +241,10 @@ def test_dot_round_trips_accepted_names(names):
         path = os.path.join(tmp, "data.csv")
         ni.write_csv(ts, path)
         assert ni.load_csv(path).names == tuple(names)
+
+
+def test_integral_indices_of_any_spelling_are_stored_as_ints():
+    g = ni.Dag(3, ((), (np.int64(2), 0.0), ()))
+    assert g.parents == ((), (0, 2), ())
+    assert all(type(p) is int for p in g.parents[1])
+    assert g == ni.Dag.from_edges(3, [(0, 1), (2, 1)])

@@ -318,8 +318,10 @@ def test_local_rejects_repeated_parents(kind):
     assert sc.cache.hits == 0
 
 
-@pytest.mark.parametrize("parents", [(0, 0), (1,), (3,), (-1,)])
+@pytest.mark.parametrize("parents", [(0, 0), (1,), (3,), (-1,),
+                                     (0.9,), (2.5,), ("0",), (False,)])
 def test_parent_set_rule_shared_by_scores_estimators_and_tests(parents):
+    # a non-integral index is rejected as it is given, never made an int
     view = random_discrete_view(3, 300, 2, seed=17)
     with pytest.raises(ValidationError) as expected:
         ni.Scorer(view, "te", DISCRETE).local(1, parents)
@@ -327,6 +329,7 @@ def test_parent_set_rule_shared_by_scores_estimators_and_tests(parents):
         lambda: ni.collective_transfer_entropy(1, parents, view, DISCRETE),
         lambda: ni.surrogate_te_samples(1, parents, view, DISCRETE, _tee_cfg()),
         lambda: ni.te_degrees_of_freedom(1, parents, (2, 2, 2), (4, 4, 4)),
+        lambda: ni.Dag(3, ((), parents, ())),
     ):
         with pytest.raises(ValidationError) as got:
             call()
@@ -367,19 +370,21 @@ def test_discrete_tee_local_bound_runs_no_surrogates_and_holds(monkeypatch, view
 
 def test_tee_bound_then_local_computes_each_entropy_once(monkeypatch):
     counts = []
+    cfg = _tee_cfg()
     for bound_first in (False, True):
         calls = []
-        real = ni.estimators._discrete_from_view
-        monkeypatch.setattr(ni.estimators, "_discrete_from_view",
+        real = ni.estimators.discrete_cond_entropy
+        monkeypatch.setattr(ni.estimators, "discrete_cond_entropy",
                             lambda *args: calls.append(args) or real(*args))
         view = random_discrete_view(3, 500, 2, seed=11)  # a fresh memo each
-        sc = ni.Scorer(view, "tee", DISCRETE, surrogates=_tee_cfg())
+        sc = ni.Scorer(view, "tee", DISCRETE, surrogates=cfg)
         if bound_first:
             sc.local_bound(1, [2, 0])
         sc.local(1, (0, 2))
         monkeypatch.undo()
         counts.append(len(calls))
-    assert counts == [2, 2]  # the own entropy and the full one
+    # the own entropy and the full one, then one per surrogate
+    assert counts == [2 + cfg.count] * 2
 
 
 @pytest.mark.parametrize("estimator", [DISCRETE, ni.EstimatorKind.box_kernel(0.3)],
@@ -413,7 +418,7 @@ def _real_view(seed):
 
 
 @pytest.mark.parametrize("estimator, kernel, per_surrogate", [
-    (DISCRETE, "_discrete_from_view", 0),
+    (DISCRETE, "discrete_cond_entropy", 1),
     (ni.EstimatorKind.box_kernel(0.3), "_pair_counts", 1),
 ])
 def test_tee_local_computes_two_entropies_population_included(

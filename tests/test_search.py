@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import netinfer as ni
-from netinfer import estimators, graph, scores, search, significance
+from netinfer import graph, scores, search, significance
 from netinfer.errors import ValidationError
 from netinfer.graph import random_dag
 from netinfer.scores import LocalScore
@@ -558,7 +558,7 @@ def test_lazy_climb_runs_fewer_populations_and_no_extra_entropies(monkeypatch):
     counts = []
     for climb in (reference_climb, search._climb):
         view = _SEARCH_VIEWS["chain5"]()  # a fresh entropy memo per climb
-        calls = {"entropies": 0, "populations": 0}
+        calls = {"populations": 0}
 
         def counted(fn, name):
             def wrapper(*args, **kwargs):
@@ -568,11 +568,12 @@ def test_lazy_climb_runs_fewer_populations_and_no_extra_entropies(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(search, "_climb", climb)
-            patch.setattr(estimators, "_discrete_from_view",
-                          counted(estimators._discrete_from_view, "entropies"))
             patch.setattr(scores, "surrogate_te_samples",
                           counted(scores.surrogate_te_samples, "populations"))
             greedy_hill_climb(_tee(view), SearchConfig(seed=0))
+        # each entropy the climb computed is one key of the view's memo
+        calls["entropies"] = sum(isinstance(key[0], ni.EstimatorKind)
+                                 for key in view._memo)
         counts.append(calls)
     ref, lazy = counts
     assert 0 < lazy["entropies"] <= ref["entropies"]
