@@ -116,6 +116,13 @@ class _Manifest:
         self.doc["duration_seconds"] = time.monotonic() - self.start
         _atomic_write(path, _json_text(self.doc))
 
+    def write_out(self, out: str, doc: dict):
+        """Write ``doc`` to ``out``, then its manifest to ``<out>.manifest.json``."""
+        doc["manifest"] = os.path.basename(out) + ".manifest.json"
+        _atomic_write(out, _json_text(doc))
+        self.add_output(out)
+        self.write(out + ".manifest.json")
+
 
 # ---------------------------------------------------------------------------
 # shared flag plumbing
@@ -331,11 +338,7 @@ def cmd_score(args, argv) -> int:
     report = scorer.score(graph)
     _print_report(report)
     if args.out:
-        doc = report.to_dict()
-        doc["manifest"] = os.path.basename(args.out) + ".manifest.json"
-        _atomic_write(args.out, _json_text(doc))
-        manifest.add_output(args.out)
-        manifest.write(args.out + ".manifest.json")
+        manifest.write_out(args.out, report.to_dict())
     return 0
 
 
@@ -404,11 +407,7 @@ def cmd_eval(args, argv) -> int:
     metrics = compare_graphs(inferred, truth)
     print(json.dumps(metrics, indent=2))
     if args.out:
-        doc = dict(metrics)
-        doc["manifest"] = os.path.basename(args.out) + ".manifest.json"
-        _atomic_write(args.out, _json_text(doc))
-        manifest.add_output(args.out)
-        manifest.write(args.out + ".manifest.json")
+        manifest.write_out(args.out, dict(metrics))
     return 0
 
 

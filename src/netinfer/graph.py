@@ -94,9 +94,8 @@ class Dag:
     def from_edges(cls, m: int, edges: Iterable[tuple[int, int]]) -> "Dag":
         parents: list[list[int]] = [[] for _ in range(m)]
         for src, dst in edges:
-            if not (0 <= dst < m):
-                raise ValidationError(f"edge endpoint {dst} out of range")
-            parents[dst].append(src)
+            check_parents(dst, (src,), m)
+            parents[int(dst)].append(src)
         return cls(m, tuple(tuple(ps) for ps in parents))
 
     def edges(self) -> tuple[tuple[int, int], ...]:

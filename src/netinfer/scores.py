@@ -78,6 +78,8 @@ IC_KINDS = ("aic", "bic", "ml")
 # drawn surrogates.
 _BOUND_SLACK = 1e-9
 
+_UNSTORED = (object(), None)  # no entry: stored from no input, no score
+
 
 @dataclass(frozen=True)
 class LocalScore:
@@ -139,9 +141,9 @@ class ScoreReport:
 
 
 class LocalScoreCache:
-    """Memo of one scorer's local scores, keyed by (vertex, parents) with
-    parents a sorted tuple of ints, with hit and miss counts. It has no
-    lock: a ``Scorer`` serves one thread."""
+    """Memo of one scorer's local scores, (vertex, sorted int parents) to
+    (the parents it was computed from, score), with hit and miss counts. It
+    has no lock: a ``Scorer`` serves one thread."""
 
     def __init__(self):
         self.store: dict = {}
@@ -254,10 +256,10 @@ class Scorer:
     # -- local scores ------------------------------------------------------
 
     def _entry(self, vertex: int, parents: Sequence[int], count=False):
-        """The memo key (vertex, sorted int parents) and its stored
-        ``LocalScore`` or None, counted as a hit or a miss if ``count``. The
-        input is checked with :func:`check_parents` before it is made ints,
-        and a rejected one counts as a miss."""
+        """The memo key (vertex, sorted int parents) and its stored entry
+        ``(parents, LocalScore)`` or None, counted as a hit or a miss if
+        ``count``. The input is checked with :func:`check_parents` before it
+        is made ints, and a rejected one counts as a miss."""
         cache = self.cache
         cache.misses += count  # until the key is found
         check_parents(vertex, parents, self.view.m_total)
@@ -270,16 +272,17 @@ class Scorer:
 
     def local(self, vertex: int, parents: Sequence[int]) -> LocalScore:
         cache = self.cache
-        # the search passes sorted tuples: one already stored is a hit as is
-        found = (cache.store.get((vertex, parents))
-                 if type(parents) is tuple else None)
-        if found is not None:
+        # the search passes the same sorted tuples again: the one an entry
+        # was stored from, with an int vertex, is a hit as is
+        stored, found = (cache.store.get((vertex, parents), _UNSTORED)
+                         if type(parents) is tuple else _UNSTORED)
+        if stored is parents and type(vertex) is int:
             cache.hits += 1
             return found
         key, found = self._entry(vertex, parents, count=True)
         if found is None:
-            found = cache.store[key] = self._compute_local(*key)
-        return found
+            found = cache.store[key] = (parents, self._compute_local(*key))
+        return found[1]
 
     def local_bound(self, vertex: int, parents: Sequence[int]) -> float:
         """An upper bound of ``local(vertex, parents).local`` that draws no
@@ -293,7 +296,7 @@ class Scorer:
         ``te + _BOUND_SLACK``, and the other estimators' by ``inf``."""
         key, found = self._entry(vertex, parents)
         if found is not None:
-            return found.local
+            return found[1].local
         vertex, parents = key
         if self.score_kind != "tee" or not parents:
             return self.local(vertex, parents).local

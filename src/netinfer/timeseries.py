@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Optional, Sequence, Union
@@ -20,33 +19,6 @@ import numpy as np
 
 from .errors import DataFormatError, ValidationError, check_int
 from .graph import check_names
-
-# Id spaces up to this size are counted with np.bincount and ranked from a
-# presence table, one table entry per id (2 MB for an int64 table at the
-# cap); larger ones are sorted instead. A surrogate draw holds one table at
-# a time. On greedy tee search (M=5, N=10000, 8 bins) some populations
-# join 66k-135k ids; on a 135k-id join (2 vCPUs, one thread) 2**18 took
-# 0.40 ms per surrogate against 0.74-0.83 ms at 2**16, and the population's
-# traced peak rose from 1.2 to 1.7 MB. Ranking 9,998 ids of a 318-id space
-# from the table took 0.04 ms against 0.25 ms for np.unique.
-_BINCOUNT_CAP = 2 ** 18
-
-
-def dense_ids(code: np.ndarray, space: int) -> tuple[np.ndarray, int]:
-    """Renumber ids ``code`` from 0..space-1 to 0..k-1 in sorted order, so
-    rows share an id exactly when their codes are equal, and return them
-    with k: the ids ``np.unique(code, return_inverse=True)`` gives. Spaces
-    up to ``_BINCOUNT_CAP`` are ranked from a table of the codes present;
-    larger ones are sorted."""
-    if space <= _BINCOUNT_CAP:
-        seen = np.zeros(space, dtype=bool)
-        seen[code] = True
-        rank = np.cumsum(seen, dtype=np.int64)
-        rank -= 1
-        return rank.take(code), int(rank[-1]) + 1 if space else 0
-    uniq, ids = np.unique(code, return_inverse=True)
-    return ids, len(uniq)
-
 
 def _check_matrix(values: np.ndarray, names) -> tuple[str, ...]:
     """The one rule for an (M, N) data matrix: 2-d, M >= 1 subsystems,
@@ -164,8 +136,8 @@ class EmbeddedView:
 
     ``targets[t, s]`` is y_{n+1} of subsystem s and ``histories[s][t]`` is
     its κ-dimensional lag vector at time n, where row t is the time index
-    n = t + max_i (κ_i-1)τ_i of the source data. ``_memo`` keeps the results
-    of :meth:`symbol_ids` and ``estimators.conditional_entropy`` for its lifetime.
+    n = t + max_i (κ_i-1)τ_i of the source data. ``_memo`` is the cache that
+    only :mod:`~netinfer.estimators` reads and writes, for the view's lifetime.
     """
 
     names: tuple[str, ...]
@@ -208,48 +180,6 @@ class EmbeddedView:
         if not self.discrete or self.alphabet_sizes is None:
             raise ValidationError("view is not discrete")
         return self.alphabet_sizes[self._check_subsystem(subsystem)]
-
-    def symbol_ids(self, role: str, subsystem: int) -> tuple[np.ndarray, int]:
-        """Dense per-row ids 0..k-1 of a subsystem's "next" (target) or
-        "history" block, and k; rows share an id exactly when their values
-        are equal, and ids follow the rows' lexicographic order, as
-        ``np.unique(block, axis=0, return_inverse=True)`` numbers them. An
-        integer block is folded column by column into one mixed-radix code
-        of ``value - column minimum`` and ranked by :func:`dense_ids`; a
-        block that is not integer, or whose code would not fit int64, is
-        sorted by rows. Kept, 1-D and read-only, for the view's lifetime."""
-        found = self._memo.get((role, subsystem))
-        if found is None:
-            block = self.target(subsystem) if role == "next" else self.history(subsystem)
-            block = block.reshape(self.rows, -1)
-            code, space = _row_code(block)
-            if code is None:
-                uniq, ids = np.unique(block, axis=0, return_inverse=True)
-                ids, k = ids.reshape(-1), len(uniq)
-            else:
-                ids, k = dense_ids(code, space)
-            ids.flags.writeable = False
-            found = self._memo[(role, subsystem)] = (ids, k)
-        return found
-
-
-def _row_code(block: np.ndarray):
-    """``(code, space)``: the rows of an integer block as one mixed-radix
-    code in 0..space-1, first column most significant, so codes order as
-    the rows do; ``(None, 0)`` when the block is not integer or empty, or
-    the code would not fit int64."""
-    if block.dtype.kind != "i" or not block.size:
-        return None, 0
-    lo, hi = block.min(axis=0), block.max(axis=0)
-    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
-    space = math.prod(spans)
-    if space >= 2 ** 63:
-        return None, 0
-    code = np.zeros(len(block), dtype=np.int64)
-    for k, span in enumerate(spans):
-        code *= span
-        code += block[:, k] - lo[k]
-    return code, space
 
 
 # CSV rows parsed or written per step: memory beyond the array is one chunk's

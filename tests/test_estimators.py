@@ -13,6 +13,7 @@ from netinfer.estimators import history, next_value
 from netinfer.estimators import (
     _BINCOUNT_CAP,
     _BOX_BLOCK,
+    _block_ids,
     _box_counts,
     _box_pairs,
     _kept_pairs,
@@ -509,8 +510,7 @@ def test_surrogate_entropy_of_the_unresampled_block_is_the_plain_one(
     view = make_view()
     conds = [history(1)] + [history(s) for s in sources]
     if kind is DISCRETE:
-        spaces = [view.symbol_ids(sel.role, sel.subsystem)[1]
-                  for sel in [next_value(1), *conds]]
+        spaces = [_block_ids(view, sel)[1] for sel in [next_value(1), *conds]]
         assert (math.prod(spaces) > _BINCOUNT_CAP) == case.endswith("past-cap")
     h_self, block, h_full = ni.estimators.resampled_source_entropy(1, sources, view, kind)
     got = h_full(block)

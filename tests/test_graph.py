@@ -248,3 +248,12 @@ def test_integral_indices_of_any_spelling_are_stored_as_ints():
     assert g.parents == ((), (0, 2), ())
     assert all(type(p) is int for p in g.parents[1])
     assert g == ni.Dag.from_edges(3, [(0, 1), (2, 1)])
+    assert g == ni.Dag.from_edges(3, [(0, 1.0), (2, np.int64(1))])
+
+
+@pytest.mark.parametrize("edge", [(0, True), (0, 2), (0, -1), (0, 0.5)])
+def test_from_edges_checks_each_head_by_the_parent_set_rule(edge):
+    # a head is an index like any other: never a bool, never out of range
+    with pytest.raises(ValidationError):
+        ni.Dag.from_edges(2, [edge])
+

@@ -330,10 +330,24 @@ def test_parent_set_rule_shared_by_scores_estimators_and_tests(parents):
         lambda: ni.surrogate_te_samples(1, parents, view, DISCRETE, _tee_cfg()),
         lambda: ni.te_degrees_of_freedom(1, parents, (2, 2, 2), (4, 4, 4)),
         lambda: ni.Dag(3, ((), parents, ())),
+        lambda: ni.Dag.from_edges(3, [(p, 1) for p in parents]),
     ):
         with pytest.raises(ValidationError) as got:
             call()
         assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("vertex, parents", [(1, (False,)), (True, (0,)),
+                                             (1, (np.False_,))])
+def test_stored_entry_answers_no_input_the_parent_set_rule_rejects(vertex, parents):
+    # a tuple of bools equals the tuple of ints it was stored under, but is
+    # rejected as a fresh scorer rejects it
+    sc = ni.Scorer(random_discrete_view(3, 300, 2, seed=17), "te", DISCRETE)
+    stored = (0,)
+    sc.local(1, stored)
+    with pytest.raises(ValidationError):
+        sc.local(vertex, parents)
+    assert sc.local(1, stored) is sc.local(1, [0])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import netinfer as ni
 from netinfer import timeseries
 from netinfer.errors import DataFormatError, ValidationError
-from netinfer.timeseries import _BINCOUNT_CAP, _CSV_CHUNK, csv_chunks, dense_ids
+from netinfer.estimators import _BINCOUNT_CAP, _block_ids, dense_ids, history, next_value
+from netinfer.timeseries import _CSV_CHUNK, csv_chunks
 
 from conftest import reference_csv_text, reference_load_csv
 
@@ -387,7 +388,7 @@ def test_view_rejects_out_of_range_subsystem(subsystem):
     ts = ni.TimeSeriesSet(np.arange(30.0).reshape(3, 10))
     view = ni.delay_embed(ni.discretize(ts, 2), ni.EmbeddingSpec.uniform(3))
     for read in (view.target, view.history, view.kappa, view.alphabet,
-                 lambda s: view.symbol_ids("next", s)):
+                 lambda s: _block_ids(view, next_value(s))):
         with pytest.raises(ValidationError, match="out of range"):
             read(subsystem)
 
@@ -405,8 +406,8 @@ def _block_view(block):
 
 def _assert_ids_match_unique(block):
     view = _block_view(block)
-    for role, rows in (("history", view.history(0)), ("next", view.target(0))):
-        ids, k = view.symbol_ids(role, 0)
+    for sel, rows in ((history(0), view.history(0)), (next_value(0), view.target(0))):
+        ids, k = _block_ids(view, sel)
         uniq, want = np.unique(rows, axis=0, return_inverse=True)
         assert k == len(uniq)
         assert ids.ndim == 1 and not ids.flags.writeable
@@ -422,6 +423,10 @@ def test_symbol_ids_match_np_unique_rows(kappa):
     block = block[rng.integers(0, 300, size=300)]
     assert len(np.unique(block, axis=0)) < len(block)
     _assert_ids_match_unique(block)
+    # a column spanning more than the cap but less than int64 is ranked alone
+    wide = block * np.array([2 ** 40] + [1] * (kappa - 1))
+    assert _BINCOUNT_CAP < int(np.ptp(wide[:, 0])) < 2 ** 63
+    _assert_ids_match_unique(wide)
 
 
 @pytest.mark.parametrize("kappa", [1, 3])
@@ -444,14 +449,14 @@ def test_symbol_ids_either_side_of_the_cap(monkeypatch, top, ranked):
         def refuse(*args, **kwargs):
             raise AssertionError("np.unique called")
         monkeypatch.setattr(np, "unique", refuse)
-        ids, k = _block_view(block).symbol_ids("history", 0)
+        ids, k = _block_ids(_block_view(block), history(0))
         assert k == len(uniq) and np.array_equal(ids, want.reshape(-1))
     else:
         _assert_ids_match_unique(block)
 
 
 def test_symbol_ids_past_int64_sort_the_rows():
-    # spans whose product passes int64 fall back to sorting whole rows
+    # columns whose spans pass int64 are each ranked by sorting
     big = np.iinfo(np.int64).max
     _assert_ids_match_unique([[0, -big], [big, big], [0, -big], [5, 0]])
 
