@@ -26,9 +26,9 @@ function of rest's rows (``_given``). It serves both a plain entropy, given
 rest's own rows, and every surrogate draw, given a resampling of them.
 
 All values are in bits. A view's ``_memo``, which only this module uses,
-keeps its dense row ids, its kept neighbour pairs and every conditional
-entropy computed on it, without a lock, so a view, and the ``Scorer`` that
-holds it, serves one thread.
+keeps its dense row ids, its table of row-count logs, its kept neighbour
+pairs and every conditional entropy computed on it, without a lock, so a
+view, and the ``Scorer`` that holds it, serves one thread.
 """
 
 from __future__ import annotations
@@ -423,7 +423,9 @@ def _given(view: EmbeddedView, kind: EstimatorKind, target, first, rest):
         if n_zw * n_r > _BINCOUNT_CAP:  # rank once, not in every join
             zw, n_zw = dense_ids(zw, n_zw)
             block, n_r = dense_ids(block, n_r)
-        log2 = _log2_table(view.rows)
+        log2 = view._memo.get(("log2",))
+        if log2 is None:
+            log2 = view._memo[("log2",)] = _log2_table(view.rows)
 
         def h(rows: np.ndarray) -> float:
             return discrete_cond_entropy(_join(w, n_w, rows, n_r)[0],

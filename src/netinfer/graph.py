@@ -3,9 +3,11 @@ parent sets.
 
 A ``Dag`` is acyclic by construction: it checks each parent set with
 :func:`check_parents` and rejects a cycle, so scores, the simulator, the
-KL divergence and :func:`compare_graphs` take any ``Dag`` as it is. It has
-no edge-editing methods: a new graph is built from its parent sets, as the
-greedy search does with the sets a move changes, and
+KL divergence and :func:`compare_graphs` take any ``Dag`` as it is. Only
+:func:`enumerate_dags` skips the checks: it assigns only acyclic parent
+sets, from sorted in-range tuples that every enumeration shares. A
+``Dag`` has no edge-editing methods: a new graph is built from its parent
+sets, as the greedy search does with the sets a move changes, and
 :func:`creates_cycle` answers whether an edge may be added.
 
 :func:`_reach` is the one reachability walk: a validated graph keeps each
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DataFormatError, ValidationError, check_int
@@ -56,8 +58,7 @@ class Dag:
     parents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValidationError("graph needs at least one vertex")
+        object.__setattr__(self, "m", check_int("vertex count", self.m, 1))
         if len(self.parents) != self.m:
             raise ValidationError(
                 f"parents has {len(self.parents)} entries for {self.m} vertices"
@@ -79,19 +80,12 @@ class Dag:
         return tuple(_reach(masks, v) for v in range(self.m))
 
     @classmethod
-    def _canonical(cls, m: int, parents: tuple[tuple[int, ...], ...]) -> "Dag":
-        # for parent tuples already sorted, in range, free of self-loops
-        # and acyclic
-        dag = object.__new__(cls)
-        dag.__dict__.update(m=m, parents=parents)
-        return dag
-
-    @classmethod
     def empty(cls, m: int) -> "Dag":
-        return cls(m, tuple(() for _ in range(m)))
+        return cls(m, ((),) * check_int("vertex count", m, 1))
 
     @classmethod
     def from_edges(cls, m: int, edges: Iterable[tuple[int, int]]) -> "Dag":
+        m = check_int("vertex count", m, 1)
         parents: list[list[int]] = [[] for _ in range(m)]
         for src, dst in edges:
             check_parents(dst, (src,), m)
@@ -135,50 +129,69 @@ def creates_cycle(graph: Dag, src: int, dst: int) -> bool:
     return bool(graph._descendants[dst] >> src & 1)
 
 
+@cache
+def _parent_choices(m: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+    """Each vertex's candidate (parent set, bit mask) pairs in a fixed order,
+    built once per m, so every enumeration yields the same tuples."""
+    choices = []
+    for v in range(m):
+        others = [u for u in range(m) if u != v]
+        sets = (tuple(others[b] for b in range(m - 1) if bits >> b & 1)
+                for bits in range(1 << (m - 1)))
+        choices.append(tuple((ps, sum(1 << p for p in ps)) for ps in sets))
+    return tuple(choices)
+
+
 def enumerate_dags(m: int) -> Iterator[Dag]:
     """Yield every labelled DAG on m vertices exactly once.
 
     Parent sets are assigned vertex by vertex, candidates in a fixed order.
     Vertex k's new in-edges close a cycle iff one of its parents is reachable
     from k, so the vertices reachable from k are found once, as a bit mask,
-    and each candidate costs one AND. Graphs are built sorted and valid and
-    skip re-validation. About 0.1 s at M=5 (29 281 graphs) and 10 s at M=6,
+    and each candidate costs one AND. Each assignment of vertices 0..m-2 is
+    met once, with the last vertex's reach, and that vertex's admissible
+    sets are listed once per reach. Graphs are built sorted and valid and
+    skip re-validation. About 0.02 s at M=5 (29 281 graphs) and 2 s at M=6,
     the cap (3 781 503 graphs), on a 2-vCPU Xeon VM.
     """
-    if m < 1:
-        raise ValidationError("vertex count must be >= 1")
+    m = check_int("vertex count", m, 1)
     if m > MAX_EXHAUSTIVE_VERTICES:
         raise ValidationError(
             f"exhaustive enumeration supports at most {MAX_EXHAUSTIVE_VERTICES} "
             f"vertices, got {m}; use greedy search instead"
         )
-    others = [tuple(u for u in range(m) if u != v) for v in range(m)]
-    # candidate (parent set, its bit mask) per vertex, in a fixed order
-    choices = []
-    for v in range(m):
-        sets = []
-        for bits in range(1 << (m - 1)):
-            ps = tuple(others[v][b] for b in range(m - 1) if bits >> b & 1)
-            sets.append((ps, sum(1 << p for p in ps)))
-        choices.append(sets)
+    choices = _parent_choices(m)
+    last = m - 1
+    assigned: list[tuple[int, ...]] = [()] * last
+    masks = [0] * last
 
-    assigned: list[tuple[int, ...]] = [() for _ in range(m)]
-    masks = [0] * m
-
-    def rec(k: int) -> Iterator[Dag]:
-        reach = _reach(masks[:k], k)  # along the in-edges of vertices 0..k-1
-        last = k == m - 1
+    def prefixes(k: int, tail: int) -> Iterator[int]:
+        # set assigned[k:] each way and yield the last vertex's reach; tail is
+        # that reach along the in-edges of vertices 0..k-1, and it takes in
+        # all that k reaches iff it holds one of k's parents
+        if k == last:
+            yield tail
+            return
+        reach = _reach(masks[:k], k)  # the same for every admissible set of k
         for ps, mask in choices[k]:
-            if mask & reach:
-                continue
-            assigned[k] = ps
-            if last:
-                yield Dag._canonical(m, tuple(assigned))
-            else:
-                masks[k] = mask
-                yield from rec(k + 1)
+            if not mask & reach:
+                assigned[k], masks[k] = ps, mask
+                yield from prefixes(k + 1, tail | reach if tail & mask else tail)
 
-    yield from rec(0)
+    # the last vertex's admissible parent sets, each in a 1-tuple, per reach
+    admissible: dict[int, list[tuple[tuple[int, ...]]]] = {}
+    new = object.__new__
+    for reach in prefixes(0, 1 << last):
+        sets = admissible.get(reach)
+        if sets is None:
+            sets = admissible[reach] = [(ps,) for ps, mask in choices[last]
+                                        if not mask & reach]
+        head = tuple(assigned)
+        for ps in sets:
+            dag = new(Dag)
+            fields = dag.__dict__
+            fields["m"], fields["parents"] = m, head + ps
+            yield dag
 
 
 def random_dag(m: int, rng, max_parents: int | None = None,

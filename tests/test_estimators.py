@@ -227,8 +227,11 @@ def _memoised_entropies(view):
 
 
 @pytest.mark.parametrize("method", sorted(_MEMO_VIEWS))
-def test_view_memo_holds_what_a_fresh_view_computes(method):
+def test_view_memo_holds_what_a_fresh_view_computes(method, monkeypatch):
     kind, make_view = _MEMO_VIEWS[method]
+    tables = []
+    monkeypatch.setattr(ni.estimators, "_log2_table",
+                        lambda rows: tables.append(rows) or _log2_table(rows))
     view = make_view()
     scorer = ni.Scorer(view, "te", kind)
     for v in range(3):
@@ -249,6 +252,8 @@ def test_view_memo_holds_what_a_fresh_view_computes(method):
     for (_, target, conditioners), h in memo.items():
         fresh = ni.conditional_entropy(target, conditioners, make_view(), kind)
         assert fresh.hex() == h.hex()
+    # the discrete kernel builds its table of logs once per view
+    assert len(tables) == (1 + len(memo) if method == "discrete-plugin" else 0)
 
 
 @pytest.mark.parametrize("method", sorted(_MEMO_VIEWS))

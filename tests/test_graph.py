@@ -60,7 +60,7 @@ def test_enumerate_dag_counts_small(m, count):
     assert all(len(reference_kahn_order(g)) == m for g in graphs)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_enumerate_matches_recurrence(m):
     assert sum(1 for _ in ni.enumerate_dags(m)) == labelled_dag_count(m)
 
@@ -249,6 +249,15 @@ def test_integral_indices_of_any_spelling_are_stored_as_ints():
     assert all(type(p) is int for p in g.parents[1])
     assert g == ni.Dag.from_edges(3, [(0, 1), (2, 1)])
     assert g == ni.Dag.from_edges(3, [(0, 1.0), (2, np.int64(1))])
+    # the vertex count follows the same rule, in every way to build a graph
+    for g in (ni.Dag(2.0, ((), (0,))), ni.Dag.from_edges(2.0, [(0, 1)]),
+              ni.Dag.empty(2.0), next(ni.enumerate_dags(2.0))):
+        assert type(g.m) is int and g.m == 2
+    for m in (True, 2.5, "2"):
+        for build in (lambda: ni.Dag(m, ((), (0,))), lambda: ni.Dag.from_edges(m, []),
+                      lambda: ni.Dag.empty(m), lambda: next(ni.enumerate_dags(m))):
+            with pytest.raises(ValidationError, match="vertex count"):
+                build()
 
 
 @pytest.mark.parametrize("edge", [(0, True), (0, 2), (0, -1), (0, 0.5)])
