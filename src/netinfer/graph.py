@@ -4,11 +4,10 @@ parent sets.
 A ``Dag`` is acyclic by construction: it checks each parent set with
 :func:`check_parents` and rejects a cycle, so scores, the simulator, the
 KL divergence and :func:`compare_graphs` take any ``Dag`` as it is. Only
-:func:`enumerate_dags` skips the checks: it assigns only acyclic parent
-sets, from sorted in-range tuples that every enumeration shares. A
-``Dag`` has no edge-editing methods: a new graph is built from its parent
-sets, as the greedy search does with the sets a move changes, and
-:func:`creates_cycle` answers whether an edge may be added.
+:func:`enumerate_dags` skips the checks: it assigns only sorted, in-range,
+acyclic parent sets. A ``Dag`` has no edge-editing methods: a new graph is
+built from its parent sets, as the greedy search does with the sets a move
+changes, and :func:`creates_cycle` answers whether an edge may be added.
 
 :func:`_reach` is the one reachability walk: a validated graph keeps each
 vertex's reach for its cycle check and :func:`creates_cycle`, and a graph
@@ -20,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DataFormatError, ValidationError, check_int
@@ -81,7 +80,7 @@ class Dag:
 
     @classmethod
     def empty(cls, m: int) -> "Dag":
-        return cls(m, ((),) * check_int("vertex count", m, 1))
+        return cls.from_edges(m, ())
 
     @classmethod
     def from_edges(cls, m: int, edges: Iterable[tuple[int, int]]) -> "Dag":
@@ -129,19 +128,6 @@ def creates_cycle(graph: Dag, src: int, dst: int) -> bool:
     return bool(graph._descendants[dst] >> src & 1)
 
 
-@cache
-def _parent_choices(m: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
-    """Each vertex's candidate (parent set, bit mask) pairs in a fixed order,
-    built once per m, so every enumeration yields the same tuples."""
-    choices = []
-    for v in range(m):
-        others = [u for u in range(m) if u != v]
-        sets = (tuple(others[b] for b in range(m - 1) if bits >> b & 1)
-                for bits in range(1 << (m - 1)))
-        choices.append(tuple((ps, sum(1 << p for p in ps)) for ps in sets))
-    return tuple(choices)
-
-
 def enumerate_dags(m: int) -> Iterator[Dag]:
     """Yield every labelled DAG on m vertices exactly once.
 
@@ -149,10 +135,9 @@ def enumerate_dags(m: int) -> Iterator[Dag]:
     Vertex k's new in-edges close a cycle iff one of its parents is reachable
     from k, so the vertices reachable from k are found once, as a bit mask,
     and each candidate costs one AND. Each assignment of vertices 0..m-2 is
-    met once, with the last vertex's reach, and that vertex's admissible
-    sets are listed once per reach. Graphs are built sorted and valid and
-    skip re-validation. About 0.02 s at M=5 (29 281 graphs) and 2 s at M=6,
-    the cap (3 781 503 graphs), on a 2-vCPU Xeon VM.
+    met once, with the last vertex's reach. Graphs are built sorted and
+    valid and skip re-validation. About 0.02 s at M=5 (29 281 graphs) and
+    3 s at M=6, the cap (3 781 503 graphs), on a 2-vCPU Xeon VM.
     """
     m = check_int("vertex count", m, 1)
     if m > MAX_EXHAUSTIVE_VERTICES:
@@ -160,7 +145,15 @@ def enumerate_dags(m: int) -> Iterator[Dag]:
             f"exhaustive enumeration supports at most {MAX_EXHAUSTIVE_VERTICES} "
             f"vertices, got {m}; use greedy search instead"
         )
-    choices = _parent_choices(m)
+    others = [tuple(u for u in range(m) if u != v) for v in range(m)]
+    # candidate (parent set, its bit mask) per vertex, in a fixed order
+    choices = []
+    for v in range(m):
+        sets = []
+        for bits in range(1 << (m - 1)):
+            ps = tuple(others[v][b] for b in range(m - 1) if bits >> b & 1)
+            sets.append((ps, sum(1 << p for p in ps)))
+        choices.append(sets)
     last = m - 1
     assigned: list[tuple[int, ...]] = [()] * last
     masks = [0] * last
@@ -178,20 +171,15 @@ def enumerate_dags(m: int) -> Iterator[Dag]:
                 assigned[k], masks[k] = ps, mask
                 yield from prefixes(k + 1, tail | reach if tail & mask else tail)
 
-    # the last vertex's admissible parent sets, each in a 1-tuple, per reach
-    admissible: dict[int, list[tuple[tuple[int, ...]]]] = {}
     new = object.__new__
     for reach in prefixes(0, 1 << last):
-        sets = admissible.get(reach)
-        if sets is None:
-            sets = admissible[reach] = [(ps,) for ps, mask in choices[last]
-                                        if not mask & reach]
         head = tuple(assigned)
-        for ps in sets:
-            dag = new(Dag)
-            fields = dag.__dict__
-            fields["m"], fields["parents"] = m, head + ps
-            yield dag
+        for ps, mask in choices[last]:
+            if not mask & reach:
+                dag = new(Dag)
+                fields = dag.__dict__
+                fields["m"], fields["parents"] = m, head + (ps,)
+                yield dag
 
 
 def random_dag(m: int, rng, max_parents: int | None = None,

@@ -298,21 +298,6 @@ def test_exhaustive_scores_each_vertex_once_per_graph():
     assert sc.cache.hits + sc.cache.misses == result.visited * 4 + 4
 
 
-def test_second_exhaustive_search_finds_every_local_by_identity(monkeypatch):
-    # every enumeration yields the same parent tuples, so a scorer reused for
-    # a second search answers each lookup from the tuple it stored
-    sc = ni.Scorer(random_discrete_view(4, 1000, 2, seed=2), "tea", DISCRETE)
-    first = exhaustive_search(sc)
-    calls = []
-    entry = scores.Scorer._entry
-    monkeypatch.setattr(scores.Scorer, "_entry",
-                        lambda self, *args, **kw: calls.append(args) or entry(self, *args, **kw))
-    second = exhaustive_search(sc)
-    assert calls == []
-    assert second.best == first.best and second.visited == first.visited
-    assert second.best_report.to_dict() == first.best_report.to_dict()
-
-
 # ---------------------------------------------------------------------------
 # the lazy climb against the climb that scores every candidate exactly
 
